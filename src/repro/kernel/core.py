@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.capacity.base import CapacityFunction
@@ -83,7 +84,7 @@ from repro.sim.journal import (
     JournalRecord,
     describe_payload,
 )
-from repro.sim.trace import RunSegment, ScheduleTrace
+from repro.sim.trace import ScheduleTrace
 
 __all__ = ["SchedulingKernel"]
 
@@ -1717,15 +1718,18 @@ class SchedulingKernel:
         raise RecoveryError(f"cannot decode event payload {desc!r}")
 
     def snapshot(self) -> EngineSnapshot:
-        """Image the complete mid-run state (picklable; jid-based).
+        """Image the complete mid-run state (picklable, schema 3).
 
-        The mutable job state is copied straight off the table's columns
-        (one pass each); the jid-keyed dict layout of the snapshot schema
-        (2, unchanged) is materialized only here."""
+        Container copies only — no Python-level work per job: the job
+        state is the table's column pair (:meth:`JobTable.copy_state`),
+        trace segments are shallow list copies (segments are frozen),
+        outcomes a dict copy of enum members.  Per-entry work is bounded
+        by the event queue, not by the jobs ever admitted."""
         events = [
             (time, kind, seq, self._encode_payload(ev.kind, ev.payload), ev.version)
             for time, kind, seq, ev in self._events.dump()
         ]
+        remaining, status = self._table.copy_state()
         return EngineSnapshot(
             scheduler_name=self._scheduler.name,
             now=self._now,
@@ -1737,21 +1741,16 @@ class SchedulingKernel:
             seg_start=list(self._seg_start),
             seg_remaining0=list(self._seg_remaining0),
             seg_cum0=list(self._seg_cum0),
-            remaining=self._table.export_remaining(),
-            status=self._table.export_status(),
+            remaining=remaining,
+            status=status,
             completion_version=dict(self._completion_version),
             alarm_version=dict(self._alarm_version),
             events=events,
             next_seq=self._events.next_seq,
             stale_hint=self._events.stale_hint,
             dispatch_count=self._dispatch_count,
-            trace_segments=[
-                [(s.start, s.end, s.jid, s.work) for s in trace.segments]
-                for trace in self._traces
-            ],
-            trace_outcomes={
-                jid: st.name for jid, st in self._outcomes.outcomes.items()
-            },
+            trace_segments=[list(trace.segments) for trace in self._traces],
+            trace_outcomes=dict(self._outcomes.outcomes),
             trace_completion_times=dict(self._outcomes.completion_times),
             trace_value_points=list(self._outcomes.value_points),
             trace_lost_work=dict(self._outcomes.lost_work),
@@ -1778,12 +1777,20 @@ class SchedulingKernel:
                 f"snapshot is for {snapshot.n_procs} processor(s), "
                 f"engine has {len(self._caps)}"
             )
-        for jid in snapshot.remaining:
-            if jid not in self._by_id:
-                raise RecoveryError(f"snapshot references unknown job {jid}")
-        for jid in snapshot.status:
-            if jid not in self._by_id:
-                raise RecoveryError(f"snapshot references unknown job {jid}")
+        # Schema 2 keys job state by jid; schema 3 by row (row i is the
+        # i-th job of this engine's instance).
+        legacy = snapshot.schema < 3
+        rows = len(self._table)
+        if legacy:
+            for jid in chain(snapshot.remaining, snapshot.status):
+                if jid not in self._by_id:
+                    raise RecoveryError(
+                        f"snapshot references unknown job {jid}"
+                    )
+        elif snapshot.rows != rows or len(snapshot.remaining) != rows:
+            raise RecoveryError(
+                f"snapshot covers {snapshot.rows} job(s), engine has {rows}"
+            )
 
         # World physics first (the scheduler's bind() reads its bounds).
         caps = pickle.loads(snapshot.capacity_blob)
@@ -1799,9 +1806,13 @@ class SchedulingKernel:
         self._horizon = snapshot.horizon
         self._now = snapshot.now
 
-        # Ground truth: load the jid-keyed snapshot dicts back into the
-        # table's columns (in place — the kernel's aliases stay valid).
-        self._table.load_state_dicts(dict(snapshot.remaining), snapshot.status)
+        # Ground truth: load the snapshot's columns (legacy images: its
+        # jid-keyed dicts) into the table's columns, in place — the
+        # kernel's aliases stay valid.
+        if legacy:
+            self._table.load_state_dicts(snapshot.remaining, snapshot.status)
+        else:
+            self._table.load_state_columns(snapshot.remaining, snapshot.status)
         # Re-derive the batch-gathering latch from the restored columns:
         # the hazard it guards against is "a live job with (near-)zero
         # remaining work gets started mid-group", so scanning the live
@@ -1844,12 +1855,10 @@ class SchedulingKernel:
         traces = []
         for per_proc in snapshot.trace_segments:
             trace = ScheduleTrace()
-            trace.segments = [RunSegment(*seg) for seg in per_proc]
+            trace.segments = list(per_proc)
             traces.append(trace)
         outcomes = traces[0] if self._single else ScheduleTrace()
-        outcomes.outcomes = {
-            jid: JobStatus[name] for jid, name in snapshot.trace_outcomes.items()
-        }
+        outcomes.outcomes = dict(snapshot.trace_outcomes)
         outcomes.completion_times = dict(snapshot.trace_completion_times)
         outcomes.value_points = [tuple(p) for p in snapshot.trace_value_points]
         outcomes.lost_work = dict(snapshot.trace_lost_work)

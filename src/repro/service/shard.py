@@ -433,6 +433,9 @@ class TenantShard:
 
         self._accepted: List[Job] = []
         self._accepted_jids: set = set()
+        # _job_to_dict of every accepted job, built once at admission: the
+        # persisted payload's "accepted" list, never rebuilt per persist.
+        self._accepted_docs: List[Dict[str, Any]] = []
         self._shed: List[ShedRecord] = []
         self._injected: List[Tuple[float, tuple]] = []
         # Op log: (dispatch_count at application, kind, data).  Recovery
@@ -825,10 +828,11 @@ class TenantShard:
         admit_rids = [self._take_rid(job.jid) for job in admit]
         shed_rids = [self._take_rid(rec.jid) for rec in shed]
         dc = kernel.dispatch_count
+        job_docs = [_job_to_dict(job) for job in admit]
         if self._store is not None:
             docs = [
-                {"op": "admit", "dc": dc, "job": _job_to_dict(job), "rid": rid}
-                for job, rid in zip(admit, admit_rids)
+                {"op": "admit", "dc": dc, "job": doc, "rid": rid}
+                for doc, rid in zip(job_docs, admit_rids)
             ] + [
                 {"op": "shed", "rec": rec.to_dict(), "rid": rid}
                 for rec, rid in zip(shed, shed_rids)
@@ -838,11 +842,12 @@ class TenantShard:
         self._journal_shed(shed)
         for rec, rid in zip(shed, shed_rids):
             self._note_request(rid, rec.jid, "shed", rec.time)
-        for job, rid in zip(admit, admit_rids):
+        for job, doc, rid in zip(admit, job_docs, admit_rids):
             self._ops.append((dc, "admit", job))
             kernel.admit_job(job)
             self._accepted.append(job)
             self._accepted_jids.add(job.jid)
+            self._accepted_docs.append(doc)
             if self._slo is not None:
                 self._slo.observe(job.release, "admitted")
             self._note_request(rid, job.jid, "accepted", release)
@@ -964,7 +969,8 @@ class TenantShard:
         """Restore the last periodic snapshot and re-apply the op log.
 
         The fresh engine gets exactly the accepted jobs the snapshot
-        knows about (in admission order); restoring re-verifies the WAL
+        covers — its first ``rows`` table rows, which are the accepted
+        list's prefix in admission order; restoring re-verifies the WAL
         tail.  Ops recorded at or past the snapshot's dispatch count are
         the ones applied after it was taken — admissions and fault
         pushes the snapshot cannot contain — and are re-applied in
@@ -979,10 +985,7 @@ class TenantShard:
                 f"tenant {self.tenant!r} crashed before the first "
                 "snapshot; nothing to restore from"
             ) from crash
-        jobs = [
-            job for job in self._accepted if job.jid in snapshot.status
-        ]
-        engine = self._build_engine(jobs)
+        engine = self._build_engine(self._accepted[: snapshot.rows])
         engine.restore(snapshot)
         kernel = engine.kernel
         base = snapshot.dispatch_count
@@ -1063,7 +1066,7 @@ class TenantShard:
         payload = {
             "version": 1,
             "engine": snap,
-            "accepted": [_job_to_dict(job) for job in self._accepted],
+            "accepted": self._accepted_docs,
             "injected": [[t, list(p)] for t, p in self._injected],
             "shed": [rec.to_dict() for rec in self._shed],
             "dedup": dict(self._dedup),
@@ -1104,6 +1107,7 @@ class TenantShard:
                 )
             self._accepted = [Job(**d) for d in payload["accepted"]]
             self._accepted_jids = {job.jid for job in self._accepted}
+            self._accepted_docs = [_job_to_dict(job) for job in self._accepted]
             self._injected = [
                 (float(t), tuple(p)) for t, p in payload["injected"]
             ]
@@ -1146,6 +1150,7 @@ class TenantShard:
                 jid = job.jid
                 self._accepted.append(job)
                 self._accepted_jids.add(job.jid)
+                self._accepted_docs.append(_job_to_dict(job))
                 tail.append((int(doc["dc"]), "admit", job))
                 if self._slo is not None:
                     self._slo.observe(job.release, "admitted")
@@ -1222,10 +1227,7 @@ class TenantShard:
                     f"cut at dispatch {snap.dispatch_count} — the journal "
                     "tail was lost (power loss without fsync=True?)"
                 )
-            jobs = [
-                job for job in self._accepted if job.jid in snap.status
-            ]
-            engine = self._build_engine(jobs)
+            engine = self._build_engine(self._accepted[: snap.rows])
             engine.restore(snap)
             base = snap.dispatch_count
             for dc, kind, data in tail:

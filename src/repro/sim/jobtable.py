@@ -6,9 +6,10 @@ column layout:
 
 * **immutable parameter columns** — ``release``, ``workload``, ``deadline``,
   ``value`` and ``jid`` as numpy ``float64``/``int64`` arrays, built once
-  from the instance.  Whole-population passes (bootstrap event seeding,
-  laxity recomputation, feasibility chains, wind-down sweeps) become single
-  vectorized expressions instead of per-job Python loops.
+  from the instance and grown only by admission.  Whole-population passes
+  (bootstrap event seeding, laxity recomputation, feasibility chains,
+  wind-down sweeps) become single vectorized expressions instead of
+  per-job Python loops.
 * **mutable hot columns** — ``remaining`` (float) and ``status`` (int code,
   see :data:`repro.sim.job.CODE_STATUS`) as plain Python lists indexed by
   row.  The event loop reads and writes these one scalar at a time, and
@@ -22,11 +23,17 @@ Existing :class:`~repro.sim.job.Job` objects stay the API surface —
 schedulers, event payloads and traces keep passing them around; the table
 maps ``jid → row`` once and the kernel touches columns by row.
 
-State snapshots become near-memcpy column copies (:meth:`copy_state` /
-:meth:`load_state_columns`): two ``list.copy()`` calls instead of
-rebuilding keyed dicts.  The jid-keyed dict exports used by the on-disk
-:class:`~repro.sim.journal.EngineSnapshot` schema (unchanged, schema 2)
-are derived from the columns only when a snapshot is actually taken.
+State snapshots are column copies (:meth:`copy_state` /
+:meth:`load_state_columns`): two ``list.copy()`` calls, no per-row Python
+work.  They are the ``remaining``/``status`` fields of the schema-3
+:class:`~repro.sim.journal.EngineSnapshot`, row-ordered, with the row
+count standing in for the jid mapping.  :meth:`load_state_dicts` is the
+reader for legacy schema-2 images, whose jid-keyed dicts are mapped back
+onto rows.
+
+Admission (:meth:`append_job`) is O(1) amortized: the parameter columns
+live in capacity-doubling numpy buffers, exposed as length-``n`` views,
+and ``jobs``/``remaining``/``status`` are lists appended in place.
 
 Bit-identity note: every vectorized helper performs *element-wise*
 arithmetic only (no reductions), in the same expression order as the
@@ -67,11 +74,12 @@ class JobTable:
     instance order):
 
     ``jobs``
-        The row-ordered :class:`Job` views (tuple).
+        The row-ordered :class:`Job` views (list, appended in place).
     ``row_of``
         ``jid → row`` mapping (dict).
     ``jid``, ``release``, ``workload``, ``deadline``, ``value``
-        Immutable numpy parameter columns.
+        Immutable numpy parameter columns: length-``n`` views of
+        capacity-doubling buffers (re-read them after an admission).
     ``remaining``, ``status``
         Mutable hot columns (Python lists); the kernel mutates them in
         place by row.  ``status`` holds int codes (``STATUS_CODE``).
@@ -80,64 +88,98 @@ class JobTable:
     __slots__ = (
         "jobs",
         "row_of",
-        "jid",
-        "release",
-        "workload",
-        "deadline",
-        "value",
+        "_jid",
+        "_release",
+        "_workload",
+        "_deadline",
+        "_value",
         "remaining",
         "status",
     )
 
     def __init__(self, jobs: Sequence[Job]) -> None:
-        self.jobs: Tuple[Job, ...] = tuple(jobs)
+        self.jobs: List[Job] = list(jobs)
         n = len(self.jobs)
         self.row_of: Dict[int, int] = {
             job.jid: row for row, job in enumerate(self.jobs)
         }
         if len(self.row_of) != n:
             raise SimulationError("duplicate job ids in JobTable")
-        self.jid = np.fromiter(
+        self._jid = np.fromiter(
             (j.jid for j in self.jobs), dtype=np.int64, count=n
         )
-        self.release = np.fromiter(
+        self._release = np.fromiter(
             (j.release for j in self.jobs), dtype=np.float64, count=n
         )
-        self.workload = np.fromiter(
+        self._workload = np.fromiter(
             (j.workload for j in self.jobs), dtype=np.float64, count=n
         )
-        self.deadline = np.fromiter(
+        self._deadline = np.fromiter(
             (j.deadline for j in self.jobs), dtype=np.float64, count=n
         )
-        self.value = np.fromiter(
+        self._value = np.fromiter(
             (j.value for j in self.jobs), dtype=np.float64, count=n
         )
         self.remaining: List[float] = [0.0] * n
         self.status: List[int] = [_PENDING] * n
 
+    # Length-n views of the parameter buffers (rows past n are unused
+    # capacity).
+    @property
+    def jid(self) -> np.ndarray:
+        return self._jid[: len(self.jobs)]
+
+    @property
+    def release(self) -> np.ndarray:
+        return self._release[: len(self.jobs)]
+
+    @property
+    def workload(self) -> np.ndarray:
+        return self._workload[: len(self.jobs)]
+
+    @property
+    def deadline(self) -> np.ndarray:
+        return self._deadline[: len(self.jobs)]
+
+    @property
+    def value(self) -> np.ndarray:
+        return self._value[: len(self.jobs)]
+
     # ------------------------------------------------------------------
     def append_job(self, job: Job) -> None:
-        """Grow the table by one job (live-service admission).
+        """Grow the table by one job (live-service admission), O(1)
+        amortized.
 
-        The immutable parameter columns are rebuilt (``np.append`` copies,
-        O(n)) — admission is the cold path and nothing holds references to
-        them.  The mutable hot columns and the ``row_of`` map are extended
-        *in place*: the kernel aliases those (``_rem``/``_st``/``_row``)
-        and the aliases must survive admission, exactly as they survive
+        A full parameter buffer is reallocated at twice its capacity, so
+        ``n`` admissions cost O(log n) reallocations.  The mutable hot
+        columns, ``jobs`` and the ``row_of`` map are extended *in place*:
+        the kernel aliases those (``_rem``/``_st``/``_row``) and the
+        aliases must survive admission, exactly as they survive
         :meth:`load_state_columns`.
         """
         if job.jid in self.row_of:
             raise SimulationError(f"duplicate job id {job.jid} in JobTable")
         row = len(self.jobs)
-        self.jobs = self.jobs + (job,)
+        if row == len(self._jid):
+            self._grow(max(8, 2 * row))
+        self._jid[row] = job.jid
+        self._release[row] = job.release
+        self._workload[row] = job.workload
+        self._deadline[row] = job.deadline
+        self._value[row] = job.value
+        self.jobs.append(job)
         self.row_of[job.jid] = row
-        self.jid = np.append(self.jid, np.int64(job.jid))
-        self.release = np.append(self.release, np.float64(job.release))
-        self.workload = np.append(self.workload, np.float64(job.workload))
-        self.deadline = np.append(self.deadline, np.float64(job.deadline))
-        self.value = np.append(self.value, np.float64(job.value))
         self.remaining.append(0.0)
         self.status.append(_PENDING)
+
+    def _grow(self, capacity: int) -> None:
+        """Reallocate the five parameter buffers at ``capacity`` rows."""
+        n = len(self.jobs)
+        for name in ("_jid", "_release", "_workload", "_deadline", "_value"):
+            old = getattr(self, name)
+            new = np.empty(capacity, dtype=old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -210,7 +252,8 @@ class JobTable:
     # Snapshot support
     # ------------------------------------------------------------------
     def copy_state(self) -> Tuple[List[float], List[int]]:
-        """Near-memcpy image of the mutable columns (``list.copy``)."""
+        """Row-ordered copies of the mutable columns (``list.copy``) —
+        the schema-3 snapshot image."""
         return (self.remaining.copy(), self.status.copy())
 
     def load_state_columns(
@@ -223,27 +266,11 @@ class JobTable:
         self.remaining[:] = remaining
         self.status[:] = status
 
-    def export_remaining(self) -> Dict[int, float]:
-        """jid → remaining for *released* jobs — the historical
-        ``EngineSnapshot.remaining`` dict (schema 2, unchanged)."""
-        status = self.status
-        return {
-            job.jid: self.remaining[row]
-            for row, job in enumerate(self.jobs)
-            if status[row] != _PENDING
-        }
-
-    def export_status(self) -> Dict[int, str]:
-        """jid → status *name* for every job (``EngineSnapshot.status``)."""
-        return {
-            job.jid: CODE_STATUS[self.status[row]].name
-            for row, job in enumerate(self.jobs)
-        }
-
     def load_state_dicts(
         self, remaining: Dict[int, float], status: Dict[int, str]
     ) -> None:
-        """Load the jid-keyed snapshot dicts back into the columns."""
+        """Load a legacy schema-2 image (jid → remaining for released
+        jobs, jid → status *name* for every job) into the columns."""
         # In-place: the kernel holds direct references to these lists.
         self.remaining[:] = [0.0] * len(self.jobs)
         self.status[:] = [_PENDING] * len(self.jobs)

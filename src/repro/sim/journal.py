@@ -34,17 +34,23 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import sys
+from array import array
 from dataclasses import dataclass, field
+from operator import attrgetter
 from time import perf_counter as _perf_counter
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RecoveryError
+from repro.sim.job import CODE_STATUS, STATUS_CODE, JobStatus
+from repro.sim.trace import RunSegment
 
 __all__ = [
     "JournalRecord",
     "EventJournal",
     "EngineSnapshot",
+    "SNAPSHOT_SCHEMA",
     "describe_payload",
     "results_bit_identical",
 ]
@@ -375,23 +381,91 @@ class EventJournal:
         return journal
 
 
+#: Current :class:`EngineSnapshot` layout (2 = jid-keyed dicts, legacy).
+SNAPSHOT_SCHEMA = 3
+
+#: Signed array typecodes, narrowest first (packing jid columns).
+_INT_TYPECODES = ("b", "h", "i", "q")
+
+
+def _pack_ints(values: Sequence[int]) -> Tuple[str, bytes]:
+    """``values`` as the narrowest signed :mod:`array` that holds them."""
+    lo, hi = min(values, default=0), max(values, default=0)
+    for code in _INT_TYPECODES:
+        bound = 1 << (8 * array(code).itemsize - 1)
+        if -bound <= lo and hi < bound:
+            break
+    return code, array(code, values).tobytes()
+
+
+def _unpack(typecode: str, blob: bytes, byteorder: str) -> array:
+    arr = array(typecode)
+    arr.frombytes(blob)
+    if byteorder != sys.byteorder:
+        arr.byteswap()
+    return arr
+
+
+_SEG_FLOATS = tuple(attrgetter(name) for name in ("start", "end", "work"))
+_SEG_JID = attrgetter("jid")
+#: JobStatus value -> STATUS_CODE (str hashing beats Enum.__hash__).
+_CODE_OF_VALUE = {status.value: code for status, code in STATUS_CODE.items()}
+_STATUS_VALUE = attrgetter("_value_")
+
+
+def _pack_segments(segments: List[RunSegment]) -> Tuple[str, bytes, bytes]:
+    """One processor's segments as a jid column plus one float blob
+    holding the start, end and work columns back to back."""
+    code, jids = _pack_ints(list(map(_SEG_JID, segments)))
+    floats = b"".join(
+        array("d", list(map(get, segments))).tobytes() for get in _SEG_FLOATS
+    )
+    return code, jids, floats
+
+
+def _unpack_segments(packed, byteorder: str) -> List[RunSegment]:
+    code, jids, floats = packed
+    jid = _unpack(code, jids, byteorder).tolist()
+    flat = _unpack("d", floats, byteorder).tolist()
+    n = len(jid)
+    return list(map(RunSegment, flat[:n], flat[n : 2 * n], jid, flat[2 * n :]))
+
+
 @dataclass
 class EngineSnapshot:
     """A complete, picklable image of a mid-run simulation engine.
 
-    Jobs are referenced by jid (the restoring engine re-binds them to its
-    own :class:`~repro.sim.job.Job` objects, preserving ``is``-identity in
-    scheduler queues); the capacity functions travel as a pickle blob so
-    any materialised stochastic path and RNG state survive exactly.
+    Jobs are referenced by jid or by table row (the restoring engine
+    re-binds them to its own :class:`~repro.sim.job.Job` objects,
+    preserving ``is``-identity in scheduler queues); the capacity
+    functions travel as a pickle blob so any materialised stochastic path
+    and RNG state survive exactly.
 
-    Schema 2 generalises the image to ``m`` processors: the running-job
-    slot and segment anchors are per-processor lists, traces are a list
-    of per-processor segment lists, and ``capacity_blob`` pickles the
-    *list* of capacity models.  The single-processor engine is simply the
+    The image generalises to ``m`` processors: the running-job slot and
+    segment anchors are per-processor lists, traces are a list of
+    per-processor segment lists, and ``capacity_blob`` pickles the *list*
+    of capacity models.  The single-processor engine is simply the
     ``n_procs == 1`` case (element 0 everywhere).
+
+    Schema 3 (current) is columnar, so taking a snapshot does no
+    Python-level work per job: ``remaining``/``status`` are row-ordered
+    copies of the kernel's :class:`~repro.sim.jobtable.JobTable` hot
+    columns (the row count is the jid mapping — row ``i`` is the ``i``-th
+    job of the instance, in admission order), ``trace_segments`` are
+    shallow copies of the trace lists (:class:`RunSegment` is frozen and
+    traces only ever replace their last element), and ``trace_outcomes``
+    holds :class:`~repro.sim.job.JobStatus` members.  Pickling packs the
+    columns, segments and outcomes into :mod:`array` bytes
+    (``__getstate__``), which keeps durable images compact.
+
+    Legacy schema-2 pickles (jid-keyed ``remaining``/``status`` dicts of
+    status *names*, segment tuples, outcome names) still load: the reader
+    in ``__setstate__`` upgrades segments and outcomes, and
+    :meth:`~repro.kernel.core.SchedulingKernel.restore` maps the dicts
+    onto table rows (:meth:`~repro.sim.jobtable.JobTable.load_state_dicts`).
     """
 
-    schema: int = 2
+    schema: int = SNAPSHOT_SCHEMA
     scheduler_name: str = ""
     #: simulation clock
     now: float = 0.0
@@ -403,9 +477,11 @@ class EngineSnapshot:
     seg_start: List[float] = field(default_factory=lambda: [0.0])
     seg_remaining0: List[float] = field(default_factory=lambda: [0.0])
     seg_cum0: List[float] = field(default_factory=lambda: [0.0])
-    remaining: Dict[int, float] = field(default_factory=dict)
-    #: jid -> JobStatus name
-    status: Dict[int, str] = field(default_factory=dict)
+    #: row -> remaining work (schema 2: jid -> remaining, released jobs)
+    remaining: List[float] = field(default_factory=list)
+    #: row -> status code, ``repro.sim.job.STATUS_CODE`` (schema 2:
+    #: jid -> JobStatus name)
+    status: List[int] = field(default_factory=list)
     completion_version: Dict[int, int] = field(default_factory=dict)
     alarm_version: Dict[int, int] = field(default_factory=dict)
     #: encoded heap entries ``(time, kind, seq, payload_desc, version)``
@@ -415,10 +491,11 @@ class EngineSnapshot:
     #: events dispatched so far (aligns with the journal index)
     dispatch_count: int = 0
     #: per-processor trace accumulators (one segment list per processor)
-    trace_segments: List[List[Tuple[float, float, int, float]]] = field(
+    trace_segments: List[List[RunSegment]] = field(
         default_factory=lambda: [[]]
     )
-    trace_outcomes: Dict[int, str] = field(default_factory=dict)
+    #: jid -> final JobStatus
+    trace_outcomes: Dict[int, JobStatus] = field(default_factory=dict)
     trace_completion_times: Dict[int, float] = field(default_factory=dict)
     trace_value_points: List[Tuple[float, float]] = field(default_factory=list)
     trace_lost_work: Dict[int, float] = field(default_factory=dict)
@@ -429,9 +506,68 @@ class EngineSnapshot:
     #: indices (into the engine's fault list) of faults already fired
     fired_faults: Tuple[int, ...] = ()
 
+    @property
+    def rows(self) -> int:
+        """Job-table rows the image covers: the first ``rows`` jobs of
+        the instance, in admission order."""
+        return len(self.status)
+
     def roundtrip(self) -> "EngineSnapshot":
         """Pickle round-trip (what crossing a process boundary does)."""
         return pickle.loads(pickle.dumps(self))
+
+    # ------------------------------------------------------------------
+    # Persisted form
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state["byteorder"] = sys.byteorder
+        state["trace_segments"] = [
+            _pack_segments(segs) for segs in self.trace_segments
+        ]
+        outcomes = self.trace_outcomes
+        code, jids = _pack_ints(list(outcomes))
+        values = map(_STATUS_VALUE, outcomes.values())
+        state["trace_outcomes"] = (
+            code,
+            jids,
+            bytes(map(_CODE_OF_VALUE.__getitem__, values)),
+        )
+        if self.schema >= 3:
+            state["remaining"] = array("d", self.remaining).tobytes()
+            state["status"] = bytes(self.status)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        byteorder = state.pop("byteorder", None)
+        if byteorder is None:
+            # Legacy schema-2 pickle: plain field dict, names and tuples.
+            state["trace_segments"] = [
+                [RunSegment(*seg) for seg in segs]
+                for segs in state["trace_segments"]
+            ]
+            state["trace_outcomes"] = {
+                jid: JobStatus[name]
+                for jid, name in state["trace_outcomes"].items()
+            }
+        else:
+            state["trace_segments"] = [
+                _unpack_segments(packed, byteorder)
+                for packed in state["trace_segments"]
+            ]
+            code, jids, codes = state["trace_outcomes"]
+            state["trace_outcomes"] = dict(
+                zip(
+                    _unpack(code, jids, byteorder).tolist(),
+                    map(CODE_STATUS.__getitem__, codes),
+                )
+            )
+            if state["schema"] >= 3:
+                state["remaining"] = _unpack(
+                    "d", state["remaining"], byteorder
+                ).tolist()
+                state["status"] = list(state["status"])
+        self.__dict__.update(state)
 
 
 def results_bit_identical(a, b) -> bool:

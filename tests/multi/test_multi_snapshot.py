@@ -12,6 +12,8 @@ points all exact.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from repro.cloud.cluster import (
 )
 from repro.core import VDoverScheduler
 from repro.errors import RecoveryError, SimulatedCrash
-from repro.faults import EngineCrashPlan
+from repro.faults import EngineCrashPlan, JobKillFault
 from repro.multi import (
     GlobalDensityScheduler,
     GlobalEDFScheduler,
@@ -34,6 +36,7 @@ from repro.multi import (
     simulate_multi,
 )
 from repro.sim import EventJournal
+from repro.sim.journal import SNAPSHOT_SCHEMA
 from repro.workload.poisson import PoissonWorkload
 
 POLICIES = [
@@ -122,6 +125,38 @@ def test_multi_snapshot_survives_pickling(make_policy):
     fresh.restore(snapshot)
     resumed = fresh.run()
     assert multi_results_bit_identical(reference, resumed)
+
+
+@pytest.mark.parametrize("make_policy", POLICIES[:3] + POLICIES[4:5])
+@pytest.mark.parametrize("crash_at", [40, 90])
+def test_multi_schema3_pickle_restore_bit_identical(make_policy, crash_at):
+    """snapshot -> pickle -> restore -> run to the horizon, on m = 3
+    processors with execution faults: the packed schema-3 image carries
+    every per-processor segment list, the outcome codes and the lost
+    work exactly."""
+    jobs, capacities = _instance(seed=13)
+
+    def faults():
+        return [JobKillFault(rate=0.5, seed=3, proc=1)]
+
+    reference = simulate_multi(jobs, capacities, make_policy(), faults=faults())
+    engine = MultiprocessorEngine(
+        jobs,
+        capacities,
+        make_policy(),
+        faults=faults() + [EngineCrashPlan(at_event=crash_at)],
+    )
+    with pytest.raises(SimulatedCrash):
+        engine.run()
+    snapshot = engine.kernel.snapshot()
+    assert snapshot.schema == SNAPSHOT_SCHEMA and snapshot.n_procs == 3
+    assert sum(map(len, snapshot.trace_segments)) > 0
+    image = pickle.loads(pickle.dumps(snapshot))
+    assert image.__dict__ == snapshot.__dict__
+
+    fresh = MultiprocessorEngine(jobs, capacities, make_policy(), faults=faults())
+    fresh.restore(image)
+    assert multi_results_bit_identical(reference, fresh.run())
 
 
 def test_multi_multiple_crash_plans_all_survived():

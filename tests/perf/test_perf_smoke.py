@@ -13,6 +13,7 @@ Deselect with ``-m "not perf_smoke"`` when iterating on unrelated code.
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,9 @@ from repro.experiments import (
 from repro.workload import PoissonWorkload
 
 pytestmark = pytest.mark.perf_smoke
+
+#: Where the BENCH_*.json emitters write (CI uploads it; untracked).
+_ARTIFACTS = Path(__file__).resolve().parents[2] / "test-results"
 
 
 @pytest.fixture(scope="module")
@@ -129,9 +133,8 @@ class TestKernelBenchArtifact:
 
     Runs the Figure-1 instance through EDF and V-Dover on the columnar
     kernel, checks the values are bit-identical to the seed pins, and
-    writes wall-ms / events-per-second numbers where CI can upload them
-    (``test-results/``) and where the repo archives them
-    (``benchmarks/results/``).
+    writes wall-ms / events-per-second numbers under ``test-results/``,
+    where CI can upload them (never into tracked files).
     """
 
     # Seed pins (Figure-1 instance, PoissonWorkload(lam=6, horizon=2000/6)
@@ -141,7 +144,6 @@ class TestKernelBenchArtifact:
 
     def test_emit_bench_kernel_json(self):
         import json
-        from pathlib import Path
 
         from repro.capacity import TwoStateMarkovCapacity
         from repro.sim import SimulationEngine
@@ -198,13 +200,9 @@ class TestKernelBenchArtifact:
             ),
         }
         blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        repo = Path(__file__).resolve().parents[2]
-        for out in (
-            repo / "test-results" / "BENCH_kernel.json",
-            repo / "benchmarks" / "results" / "BENCH_kernel.json",
-        ):
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(blob)
+        out = _ARTIFACTS / "BENCH_kernel.json"
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(blob)
 
 
 class TestPolicyProtocolBenchArtifact:
@@ -281,7 +279,6 @@ class TestPolicyProtocolBenchArtifact:
 
     def test_emit_bench_policyproto_json(self):
         import json
-        from pathlib import Path
 
         from repro.capacity import TwoStateMarkovCapacity
         from repro.core import AdmissionEDFScheduler
@@ -442,13 +439,9 @@ class TestPolicyProtocolBenchArtifact:
         )
 
         blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        repo = Path(__file__).resolve().parents[2]
-        for out in (
-            repo / "test-results" / "BENCH_policyproto.json",
-            repo / "benchmarks" / "results" / "BENCH_policyproto.json",
-        ):
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(blob)
+        out = _ARTIFACTS / "BENCH_policyproto.json"
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(blob)
 
 
 class TestTelemetryBenchArtifact:
@@ -507,7 +500,6 @@ class TestTelemetryBenchArtifact:
         import gc
         import json
         import statistics
-        from pathlib import Path
 
         from repro.service import CapacitySpec, TenantShard, TenantSpec
 
@@ -605,10 +597,6 @@ class TestTelemetryBenchArtifact:
             ),
         }
         blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        repo = Path(__file__).resolve().parents[2]
-        for out in (
-            repo / "test-results" / "BENCH_telemetry.json",
-            repo / "benchmarks" / "results" / "BENCH_telemetry.json",
-        ):
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(blob)
+        out = _ARTIFACTS / "BENCH_telemetry.json"
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(blob)

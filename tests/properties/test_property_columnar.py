@@ -47,6 +47,24 @@ _READY = STATUS_CODE[JobStatus.READY]
 _RUNNING = STATUS_CODE[JobStatus.RUNNING]
 
 
+def _legacy_remaining(table):
+    """The schema-2 ``EngineSnapshot.remaining`` image: jid -> remaining
+    for released jobs."""
+    return {
+        job.jid: table.remaining[row]
+        for row, job in enumerate(table.jobs)
+        if table.status[row] != _PENDING
+    }
+
+
+def _legacy_status(table):
+    """The schema-2 ``EngineSnapshot.status`` image: jid -> status name."""
+    return {
+        job.jid: CODE_STATUS[table.status[row]].name
+        for row, job in enumerate(table.jobs)
+    }
+
+
 @st.composite
 def instances(draw, max_jobs=10):
     n = draw(st.integers(min_value=1, max_value=max_jobs))
@@ -117,8 +135,8 @@ class TestTableObjectParity:
                     table.remaining[row] = new_rem
             # terminal states stay terminal
 
-        assert table.export_remaining() == ref_rem
-        assert table.export_status() == {
+        assert _legacy_remaining(table) == ref_rem
+        assert _legacy_status(table) == {
             jid: s.name for jid, s in ref_st.items()
         }
         for job in jobs:
@@ -141,16 +159,16 @@ class TestTableObjectParity:
         clone.load_state_columns(rem_col, st_col)
         assert clone.remaining == table.remaining
         assert clone.status == table.status
-        # Dict snapshot round-trips exactly too.
+        # The legacy schema-2 dict image loads back exactly too.
         clone2 = JobTable(jobs)
-        clone2.load_state_dicts(table.export_remaining(), table.export_status())
+        clone2.load_state_dicts(_legacy_remaining(table), _legacy_status(table))
         assert clone2.status == table.status
         for job in jobs:
             row = table.row_of[job.jid]
             if table.status[row] != _PENDING:
                 assert clone2.remaining[row] == table.remaining[row]
         # In-place contract: loading must not rebind the column objects.
-        table.load_state_dicts(table.export_remaining(), table.export_status())
+        table.load_state_dicts(_legacy_remaining(table), _legacy_status(table))
         assert table.remaining is rem_alias and table.status is st_alias
 
     @given(instances(), st.integers(min_value=0, max_value=2**31 - 1))

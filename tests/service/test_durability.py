@@ -218,6 +218,37 @@ class TestColdStartParity:
                 _spec(), store=TenantStore(tmp_path / "t0"), resume=True
             )
 
+    def test_persisted_accepted_list_is_byte_identical(self, tmp_path):
+        """The payload's "accepted" list is kept at admission, not rebuilt
+        per persist; its pickled bytes match a fresh rebuild — before and
+        after a cold start, including op-log admissions past the anchor."""
+        import pickle
+
+        from repro.service.shard import _job_to_dict
+
+        def persisted_accepted(store):
+            payload, _ = store.load_snapshot()
+            return payload["accepted"]
+
+        store = TenantStore(tmp_path / "t0")
+        shard = TenantShard(_spec(), store=store)
+        _drive(shard, n=10)
+        shard.persist_now()
+        rebuilt = [_job_to_dict(job) for job in shard.report().accepted]
+        assert pickle.dumps(persisted_accepted(store)) == pickle.dumps(rebuilt)
+        # Admissions the op log carries past the snapshot anchor.
+        for i in range(10, 14):
+            shard.handle(Submit("t0", _job(i, release=float(i) + 3.0)))
+        store.close()
+
+        store2 = TenantStore(tmp_path / "t0")
+        revived = TenantShard(_spec(), store=store2, resume=True)
+        revived.persist_now()
+        rebuilt = [_job_to_dict(job) for job in revived.report().accepted]
+        assert len(rebuilt) > 10
+        assert pickle.dumps(persisted_accepted(store2)) == pickle.dumps(rebuilt)
+        store2.close()
+
 
 class TestIdempotency:
     def test_full_resend_after_cold_start_all_duplicates(self, tmp_path):

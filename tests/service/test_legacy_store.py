@@ -1,0 +1,112 @@
+"""A tenant store written by the schema-2 snapshot writer still resumes.
+
+``tests/fixtures/schema2_store`` was written by the last release whose
+:class:`~repro.sim.journal.EngineSnapshot` pickled jid-keyed dicts
+(see its README).  A cold start must read that image through the
+schema-2 reader, re-apply the op-log tail past it, keep deciding new
+submits, and close into a report that replays bit-identically.
+"""
+
+from __future__ import annotations
+
+import shutil
+from pathlib import Path
+
+import pytest
+
+from repro.service import (
+    Advance,
+    CapacitySpec,
+    Submit,
+    TenantShard,
+    TenantSpec,
+    replay_tenant,
+)
+from repro.sim.job import Job
+from repro.sim.journal import SNAPSHOT_SCHEMA
+from repro.store.tenant import TenantStore
+
+FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "schema2_store"
+TENANT = "legacy"
+
+
+def _spec():
+    return TenantSpec(
+        tenant=TENANT,
+        horizon=60.0,
+        scheduler="vdover",
+        capacity=CapacitySpec("constant", {"rate": 1.0}),
+        queue_budget=3,
+        snapshot_every=4,
+        flush_every=2,
+        fsync=True,
+    )
+
+
+def _job(i):
+    release = 0.75 * i
+    return Job(
+        jid=i,
+        release=release,
+        workload=0.5 + (i % 4) * 0.5,
+        deadline=release + 3.0 + (i % 3),
+        value=1.0 + (i % 5),
+    )
+
+
+@pytest.fixture
+def store_dir(tmp_path):
+    # Cold start truncates and appends to the store: never touch the
+    # committed copy.
+    shutil.copytree(FIXTURE, tmp_path / "store")
+    return tmp_path / "store" / TENANT
+
+
+def _cold_start(store_dir):
+    return TenantShard(_spec(), store=TenantStore(store_dir), resume=True)
+
+
+class TestSchema2Store:
+    def test_fixture_holds_a_schema2_image(self, store_dir):
+        store = TenantStore(store_dir)
+        payload, anchor = store.load_snapshot()
+        snap = payload["engine"]
+        assert snap.schema == 2 < SNAPSHOT_SCHEMA
+        assert isinstance(snap.status, dict) and snap.rows == 10
+        # Admissions past the anchor: the cold start must re-apply them.
+        assert any(
+            doc["op"] == "admit" for seq, doc in store.ops() if seq >= anchor
+        )
+        store.close()
+
+    def test_cold_start_resumes_and_replays(self, store_dir):
+        shard = _cold_start(store_dir)
+        assert shard.kernel.last_snapshot.schema == 2
+        stats = shard.stats()
+        assert (stats["submitted"], stats["accepted"], stats["shed"]) == (
+            17,
+            13,
+            4,
+        )
+        # Decided requests stay decided; the undecided one is new.
+        assert shard.dedup_outcome("r3") is not None
+        assert shard.dedup_outcome("r17") is None
+        for i in range(17, 24):
+            shard.handle(Submit(TENANT, _job(i), rid=f"r{i}"))
+        shard.handle(Advance(TENANT, 20.0))
+        assert shard.stats()["accepted"] > stats["accepted"]
+        report = shard.close()
+        check = replay_tenant(report)
+        assert check.ok, check.failures
+        assert report.lost_jids == ()
+
+    def test_persist_after_upgrade_writes_schema3(self, store_dir):
+        store = TenantStore(store_dir)
+        shard = TenantShard(_spec(), store=store, resume=True)
+        shard.handle(Submit(TENANT, _job(17), rid="r17"))
+        shard.persist_now()
+        store.close()  # the process is gone
+        again = _cold_start(store_dir)
+        assert again.kernel.last_snapshot.schema == SNAPSHOT_SCHEMA
+        report = again.close()
+        assert replay_tenant(report).ok
