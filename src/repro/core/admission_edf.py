@@ -13,17 +13,6 @@ benchmarks use to situate V-Dover: admission-EDF is value-blind (it admits
 by arrival order, not by value), so it fixes EDF's wasted-work pathology
 but still forfeits value under overload, which is exactly the gap the
 Dover family's value-based triage closes.
-
-Batch protocol: a same-instant release burst first tries **one** feasibility
-chain containing every newcomer (:meth:`_chain_admissible`).  Because the
-chain terms are non-negative and ``np.add.accumulate`` sums strictly
-left-to-right, dropping jobs from an admissible chain never increases any
-remaining completion instant — so a full-chain pass implies every per-event
-prefix test of the scalar path passes too, and the group folds through the
-plain EDF placement logic with zero per-event chain evaluations.  Only when
-the full chain fails does the group fall back to the per-event fold (some
-prefix may still be admissible), which reproduces the scalar decisions
-bit-for-bit.
 """
 
 from __future__ import annotations
@@ -32,7 +21,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.batchproto import BatchDecisions, BatchScheduler, BatchView
 from repro.sim.job import Job
 from repro.sim.queues import JobQueue, edf_key
 from repro.sim.scheduler import Scheduler
@@ -40,7 +28,7 @@ from repro.sim.scheduler import Scheduler
 __all__ = ["AdmissionEDFScheduler"]
 
 
-class AdmissionEDFScheduler(BatchScheduler, Scheduler):
+class AdmissionEDFScheduler(Scheduler):
     """EDF over an admission-controlled job set.
 
     The admission test at release time: with every admitted-but-unfinished
@@ -136,30 +124,6 @@ class AdmissionEDFScheduler(BatchScheduler, Scheduler):
         cur, payload = self._on_release_from(self.ctx.current_job(), job)
         self._emit_decision(payload)
         return cur
-
-    def on_releases(self, view: BatchView) -> BatchDecisions:
-        cur = self.ctx.current_job()
-        if len(view) > 1 and self._chain_admissible(list(view.jobs), cur):
-            # Group fast path: one chain proved the whole burst feasible,
-            # so every newcomer admits — fold the placement logic only.
-            desired: List[Optional[Job]] = []
-            payloads: List[Optional[tuple]] = []
-            for job in view.jobs:
-                cur, payload = self._place_admitted(cur, job)
-                desired.append(cur)
-                payloads.append(payload)
-            return BatchDecisions(desired, payloads)
-        return super().on_releases(view)
-
-    def on_completions(self, view: BatchView) -> None:
-        # Same-instant deadline sweep of waiting jobs: the scalar
-        # on_job_end with a running current discards the rejection mark
-        # and drops the job from the ready queue, silently.
-        discard = self._rejected.discard
-        remove = self._ready.remove
-        for job in view.jobs:
-            discard(job.jid)
-            remove(job)
 
     def on_job_end(self, job: Job, completed: bool) -> Optional[Job]:
         self._rejected.discard(job.jid)

@@ -10,19 +10,12 @@ Under overload EDF can be arbitrarily bad (Locke's observation): it
 happily burns the whole horizon on a long low-value job whose deadline is
 earliest, starving everything else.  The adversarial generators in
 :mod:`repro.workload.instances` exhibit this; Dover/V-Dover exist to fix it.
-
-Batch protocol: the release logic is factored into
-:meth:`_on_release_from` (current job passed explicitly), so a
-same-instant release burst folds through one
-:meth:`~repro.sim.batchproto.BatchScheduler.plan` call — bit-identical
-decisions, minus the per-event kernel dispatch overhead.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.sim.batchproto import BatchScheduler, BatchView
 from repro.sim.job import Job
 from repro.sim.queues import JobQueue, edf_key
 from repro.sim.scheduler import Scheduler
@@ -30,7 +23,7 @@ from repro.sim.scheduler import Scheduler
 __all__ = ["EDFScheduler"]
 
 
-class EDFScheduler(BatchScheduler, Scheduler):
+class EDFScheduler(Scheduler):
     """Preemptive earliest-deadline-first.
 
     Ties on deadline break by job id, so runs are deterministic.
@@ -56,33 +49,6 @@ class EDFScheduler(BatchScheduler, Scheduler):
         cur, payload = self._on_release_from(self.ctx.current_job(), job)
         self._emit_decision(payload)
         return cur
-
-    def on_releases_fast(self, job_view) -> Optional[Job]:
-        # Only the min-key newcomer can end up on the processor, so the
-        # group's net effect is one comparison plus queue inserts for the
-        # losers.  Insert order differs from the scalar fold, but EDF keys
-        # are unique per job, so pop order and sorted snapshots agree.
-        jobs = job_view.jobs
-        best = min(jobs, key=edf_key)
-        cur = self.ctx.current_job()
-        insert = self._ready.insert
-        if cur is not None and edf_key(best) >= edf_key(cur):
-            for job in jobs:
-                insert(job)
-            return cur
-        if cur is not None:
-            insert(cur)
-        for job in jobs:
-            if job is not best:
-                insert(job)
-        return best
-
-    def on_completions(self, view: BatchView) -> None:
-        # Same-instant deadline sweep of waiting jobs: the scalar
-        # on_job_end with a running current is a silent queue drop.
-        remove = self._ready.remove
-        for job in view.jobs:
-            remove(job)
 
     def on_job_end(self, job: Job, completed: bool) -> Optional[Job]:
         current = self.ctx.current_job()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Tuple
 
-from repro.sim.batchproto import BatchScheduler, BatchView
 from repro.sim.job import Job
 from repro.sim.queues import JobQueue
 from repro.sim.scheduler import Scheduler
@@ -23,7 +22,7 @@ __all__ = [
 ]
 
 
-class _PriorityPreemptiveScheduler(BatchScheduler, Scheduler):
+class _PriorityPreemptiveScheduler(Scheduler):
     """Run the ready job with the best static priority, preemptively.
 
     Subclasses provide the priority key (smaller = better).  A newly
@@ -56,11 +55,6 @@ class _PriorityPreemptiveScheduler(BatchScheduler, Scheduler):
         cur, payload = self._on_release_from(self.ctx.current_job(), job)
         self._emit_decision(payload)
         return cur
-
-    def on_completions(self, view: BatchView) -> None:
-        remove = self._ready.remove
-        for job in view.jobs:
-            remove(job)
 
     def on_job_end(self, job: Job, completed: bool) -> Optional[Job]:
         current = self.ctx.current_job()
@@ -147,7 +141,7 @@ class GreedyValueScheduler(_PriorityPreemptiveScheduler):
         return (-job.value, job.jid)
 
 
-class FCFSScheduler(BatchScheduler, Scheduler):
+class FCFSScheduler(Scheduler):
     """First come, first served; run-to-completion (no preemption).
 
     The running job is never preempted; waiting jobs queue in release
@@ -174,11 +168,6 @@ class FCFSScheduler(BatchScheduler, Scheduler):
         cur, payload = self._on_release_from(self.ctx.current_job(), job)
         self._emit_decision(payload)
         return cur
-
-    def on_completions(self, view: BatchView) -> None:
-        remove = self._fifo.remove
-        for job in view.jobs:
-            remove(job)
 
     def on_job_end(self, job: Job, completed: bool) -> Optional[Job]:
         current = self.ctx.current_job()

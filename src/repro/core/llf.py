@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.sim.batchproto import BatchScheduler
 from repro.sim.job import Job
 from repro.sim.queues import JobQueue
 from repro.sim.scheduler import Scheduler
@@ -32,7 +31,7 @@ from repro.sim.scheduler import Scheduler
 __all__ = ["LLFScheduler"]
 
 
-class LLFScheduler(BatchScheduler, Scheduler):
+class LLFScheduler(Scheduler):
     """Least (conservative) laxity first with switching hysteresis.
 
     Parameters
@@ -50,11 +49,6 @@ class LLFScheduler(BatchScheduler, Scheduler):
     """
 
     name = "LLF"
-
-    #: ``on_job_end`` re-elects (and emits / re-arms timers) even for a
-    #: waiting job's deadline, so same-instant deadline sweeps must stay
-    #: per-event under the batch protocol.
-    batch_pure_completions = False
 
     def __init__(self, rate_estimate: float | None = None, eta: float = 0.05) -> None:
         super().__init__()
@@ -99,11 +93,8 @@ class LLFScheduler(BatchScheduler, Scheduler):
         """Pick the least-lax job among ``current`` + waiting, with
         hysteresis favouring the running job.
 
-        The current job is passed explicitly so a batch fold can thread the
-        hypothetical current through the group; the decision record is
-        returned as a payload rather than emitted (laxities, crossing
-        timers and queue moves are bit-identical either way — the group
-        shares one timestamp, so no work elapses between fold steps)."""
+        The decision record is returned as a payload rather than emitted;
+        :meth:`_elect` emits it."""
         if not self._ready:
             return current, None
         waiter = self._ready.first()
@@ -130,12 +121,6 @@ class LLFScheduler(BatchScheduler, Scheduler):
         return chosen
 
     # ------------------------------------------------------------------
-    def _on_release_from(
-        self, cur: Optional[Job], job: Job
-    ) -> Tuple[Optional[Job], Optional[tuple]]:
-        self._ready.insert(job)
-        return self._elect_from(cur)
-
     def on_release(self, job: Job) -> Optional[Job]:
         self._ready.insert(job)
         return self._elect()

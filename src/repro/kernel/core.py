@@ -11,9 +11,7 @@ lives here once, parameterised over a *processor set*:
   completion re-prediction are O(log n) on every processor;
 * a single global event queue ordered by ``(time, kind priority, seq)``
   with per-job version tokens for lazy deletion and automatic compaction
-  (:meth:`~repro.sim.events.EventQueue.note_stale`) — a binary heap by
-  default, or a bucketed calendar queue in high-λ regimes
-  (:func:`~repro.sim.events.make_event_queue`, ``event_queue="auto"``);
+  (:meth:`~repro.sim.events.EventQueue.note_stale`) in one binary heap;
 * one *decision protocol* flag: ``single=True`` means scheduler handlers
   return ``Optional[Job]`` (the paper's single-processor interface) and
   the kernel applies it to processor 0; ``single=False`` means handlers
@@ -21,8 +19,8 @@ lives here once, parameterised over a *processor set*:
   kernel diffs against the current one (free preemption and migration,
   no intra-job parallelism).
 
-Columnar hot path (this PR)
----------------------------
+Columnar hot path
+-----------------
 Per-job execution state lives in a struct-of-arrays
 :class:`~repro.sim.jobtable.JobTable`: immutable job parameters as numpy
 columns, the mutable ``remaining``/``status`` hot columns as row-indexed
@@ -38,7 +36,9 @@ popping one event at a time and re-peeking, because a dispatch may push a
 new event at the *same* instant with *higher* kind priority (e.g. a
 COMPLETION predicted at exactly ``t``), which must precede the remaining
 batch.  Each event still takes its own scheduler decision, preserving the
-paper's per-interrupt semantics bit-for-bit.
+paper's per-interrupt semantics bit-for-bit: the scheduler contract is the
+per-event handler set (``on_release``, ``on_job_end``, ``on_alarm``,
+``on_timer``, ``on_eviction``), one call per live event.
 
 Provably-dead events (stale version token, or a job event whose job is
 already terminal) are filtered *before* journaling, identically in every
@@ -69,7 +69,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro import obs as _obs
-from repro.sim.events import Event, EventKind, make_event_queue
+from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.job import (
     CODE_STATUS,
     STATUS_CODE,
@@ -123,11 +123,6 @@ class SchedulingKernel:
         bootstrap and again at restore (fresh bind).
     horizon, faults, watchdog, journal, snapshot_every:
         As on the façades (see :class:`~repro.sim.engine.SimulationEngine`).
-    event_queue:
-        ``"auto"`` (default), ``"heap"`` or ``"calendar"`` — the event
-        queue layout (:func:`~repro.sim.events.make_event_queue`).  All
-        three produce bit-identical runs; the choice is constant-factor
-        only.
     single:
         Selects the decision protocol (see above).  In single mode the
         kernel's combined ``outcomes`` trace *is* ``traces[0]`` (one
@@ -146,15 +141,9 @@ class SchedulingKernel:
         watchdog: "object | None" = None,
         journal: "EventJournal | None" = None,
         snapshot_every: int | None = None,
-        event_queue: str = "auto",
         single: bool = False,
-        protocol: str = "scalar",
     ) -> None:
         validate_jobs(jobs)
-        if protocol not in ("scalar", "batch", "auto"):
-            raise SimulationError(
-                f'protocol must be "scalar", "batch" or "auto", got {protocol!r}'
-            )
         if not capacities:
             raise SimulationError("at least one processor required")
         self._jobs = list(jobs)
@@ -207,12 +196,7 @@ class SchedulingKernel:
         self._proc_of: Dict[int, int] = {}  # jid -> processor while running
 
         # Event bookkeeping.
-        self._events = make_event_queue(
-            event_queue,
-            stale=self._event_is_stale,
-            horizon=self._horizon,
-            expected_events=2 * len(self._jobs) + 1,
-        )
+        self._events = EventQueue(self._event_is_stale)
         self._completion_version: Dict[int, int] = {}
         self._alarm_version: Dict[int, int] = {}
         self._traces: List[ScheduleTrace] = [ScheduleTrace() for _ in range(m)]
@@ -243,21 +227,6 @@ class SchedulingKernel:
         self._last_snapshot: Optional[EngineSnapshot] = None
         self._started = False
         self._ended = False
-        # Batch decision protocol (repro.sim.batchproto).  "scalar" keeps
-        # the historical per-event loops byte-untouched; "batch"/"auto"
-        # switch to _run_batch when the scheduler implements plan() —
-        # per-event dispatch otherwise, so the knob is always safe.
-        self._protocol = protocol
-        self._use_batch = protocol != "scalar" and bool(
-            getattr(scheduler, "batch_capable", False)
-        )
-        # One-way latch: set when a segment close leaves a READY job with
-        # (near-)zero remaining work.  Starting such a job mid-batch would
-        # predict a COMPLETION at the *current* instant, which the scalar
-        # loop would dispatch before the rest of the batch — so once the
-        # latch trips, the kernel stops gathering groups and dispatches
-        # per-event (bit-identical, just without the batch win).
-        self._batch_unsafe = False
         # Observability: capture the active context once.  When disabled
         # (the default) this is None and every emission site in the hot
         # path reduces to a single attribute-identity check.
@@ -494,10 +463,6 @@ class SchedulingKernel:
         row = self._row[job.jid]
         self._rem[row] = max(0.0, new_remaining)
         self._st[row] = _READY
-        if new_remaining <= 1e-6 * max(1.0, job.workload):
-            # A READY job this close to done completes the instant it is
-            # restarted; see the _batch_unsafe latch in __init__.
-            self._batch_unsafe = True
         self._traces[proc].add_segment(self._seg_start[proc], t, job.jid, work)
         # Orphan the in-flight completion event.
         self._completion_version[job.jid] = (
@@ -921,10 +886,7 @@ class SchedulingKernel:
             self._bootstrap()
         if self._ended:
             return
-        if self._use_batch:
-            self._run_batch(until=float(until))
-        else:
-            self._run_full(until=float(until))
+        self._run_full(until=float(until))
 
     def run_loop(self) -> None:
         """Execute (or, after :meth:`restore`, resume) to the horizon and
@@ -942,22 +904,13 @@ class SchedulingKernel:
         if not self._started:
             self._bootstrap()
         if not self._ended:
-            uninstrumented = (
+            if (
                 self._journal is None
                 and self._watchdog is None
                 and self._snapshot_every is None
                 and not self._event_crashes
                 and self._obs is None
-            )
-            if self._use_batch:
-                # Like the scalar loops, the batch protocol has a lean
-                # twin for the uninstrumented hot path and a full variant
-                # carrying journal/watchdog/snapshot/obs bookkeeping.
-                if uninstrumented:
-                    self._run_batch_fast()
-                else:
-                    self._run_batch()
-            elif uninstrumented:
+            ):
                 self._run_fast()
             else:
                 self._run_full()
@@ -1104,520 +1057,6 @@ class SchedulingKernel:
                     self._now = t
                     self._ended = True
                     break
-
-    # ------------------------------------------------------------------
-    # Batch decision protocol (repro.sim.batchproto)
-    # ------------------------------------------------------------------
-    def _journal_event(self, event: Event) -> None:
-        """Journal (or replay-verify) one live event at the current
-        dispatch index — the batch loop's copy of the inline block in
-        :meth:`_run_full`.  Record content is fully determined before the
-        event dispatches, so gathered groups journal at pop time."""
-        journal = self._journal
-        if journal is None:
-            return
-        record = JournalRecord(
-            index=self._dispatch_count,
-            time=event.time,
-            kind=int(event.kind),
-            key=describe_payload(int(event.kind), event.payload),
-            version=event.version,
-        )
-        if self._dispatch_count < self._verify_until:
-            expected = journal.get(self._dispatch_count)
-            if record != expected:
-                raise RecoveryError(
-                    f"journal replay diverged at dispatch "
-                    f"#{self._dispatch_count}: live {record} != "
-                    f"journaled {expected}"
-                )
-        else:
-            journal.append(record)
-
-    def _run_batch_fast(self) -> None:
-        """The batch-protocol twin of :meth:`_run_fast`: zero per-event
-        bookkeeping branches (no journal, watchdog, snapshot cadence,
-        crash plans or observability — guaranteed by the ``run_loop``
-        routing), plus group gathering.  The dispatch sequence — pops,
-        no-op filtering, dispatch count — is identical to
-        :meth:`_run_fast`; gathered groups go through the same
-        ``_dispatch_release_group`` / ``_dispatch_deadline_group``
-        appliers as the full batch loop."""
-        events = self._events
-        pop = events.pop
-        peek = events.peek_time
-        peek_key = events.peek_key
-        dispatch = self._dispatch
-        noop = self._event_is_noop
-        horizon = self._horizon
-        end_kind = EventKind.END
-        release_kind = EventKind.RELEASE
-        deadline_kind = EventKind.DEADLINE
-        release_int = int(release_kind)
-        deadline_int = int(deadline_kind)
-        pure_completions = bool(
-            getattr(self._scheduler, "batch_pure_completions", False)
-        )
-
-        while len(events):
-            event = pop()
-            t = event.time
-            if t < self._now - _EPS:
-                raise SimulationError(
-                    f"time went backwards: {t} < {self._now}"
-                )
-            if event.kind is end_kind:
-                self._now = t
-                self._ended = True
-                return
-            if t > horizon:
-                self._now = horizon
-                self._ended = True
-                return
-            self._now = t
-
-            while True:
-                if not noop(event):
-                    kind = event.kind
-                    # Gather check, cheapest test first: only when another
-                    # event sits at exactly t can a group exist at all.
-                    if (
-                        peek() == t
-                        and not self._batch_unsafe
-                        and (
-                            (
-                                kind is release_kind
-                                and peek_key() == (t, release_int)
-                            )
-                            or (
-                                kind is deadline_kind
-                                and pure_completions
-                                and peek_key() == (t, deadline_int)
-                            )
-                        )
-                    ):
-                        self._gather_fast(event, t, kind)
-                    else:
-                        self._dispatch_count += 1
-                        dispatch(event)
-                if peek() != t:
-                    break
-                event = pop()
-                if event.kind is end_kind:
-                    self._now = t
-                    self._ended = True
-                    return
-
-    def _gather_fast(self, first: Event, t: float, kind) -> None:
-        """Pop the rest of ``first``'s ``(time, kind)`` group (no-op
-        filtering each pop, exactly as the scalar loop would) and hand it
-        to the batch appliers — the uninstrumented twin of
-        :meth:`_dispatch_gathered`."""
-        noop = self._event_is_noop
-        group = [first]
-        append = group.append
-        for event in self._events.pop_group(t, int(kind)):
-            if not noop(event):
-                append(event)
-        self._dispatch_count += len(group)
-        if kind is EventKind.RELEASE:
-            if len(group) == 1:
-                self._dispatch(first)
-            else:
-                self._dispatch_release_group(group, t, fast=True)
-        else:
-            self._dispatch_deadline_group(group, t)
-
-    def _run_batch(self, until: float | None = None) -> None:
-        """The batch-protocol twin of :meth:`_run_full`.
-
-        Identical outer bookkeeping and per-event path; the one addition
-        is *group gathering*: when the head of a same-timestamp batch is a
-        RELEASE (or, under preconditions, a DEADLINE) and further events
-        of the same ``(time, kind)`` sit behind it, the whole group is
-        popped at once — each pop taking the crash hook, the no-op filter
-        and the journal append exactly as the scalar loop would — and
-        handed to the scheduler as **one** ``plan()`` /
-        ``on_completions()`` call.  Decisions are applied per event, so
-        segments, traces and journals stay bit-identical; the win is
-        skipping the per-event dispatch machinery and letting policies
-        fold a group in one pass.
-
-        Gathering is skipped (falling back to the per-event path, which
-        is exactly ``_run_full``'s body) when the scheduler is not batch
-        capable for the situation: tracing active without
-        ``batch_obs_exact``, profiling active (per-event latency samples),
-        or the ``_batch_unsafe`` latch tripped."""
-        events = self._events
-        pop = events.pop
-        peek = events.peek_time
-        peek_key = events.peek_key
-        dispatch = self._dispatch
-        noop = self._event_is_noop
-        journal = self._journal
-        watchdog = self._watchdog
-        snapshot_every = self._snapshot_every
-        has_event_crashes = bool(self._event_crashes)
-        horizon = self._horizon
-        end_kind = EventKind.END
-        release_kind = EventKind.RELEASE
-        deadline_kind = EventKind.DEADLINE
-        owner = self.owner
-        octx = self._obs
-        scheduler = self._scheduler
-        obs_ok = octx is None or (
-            bool(getattr(scheduler, "batch_obs_exact", False))
-            and not octx.profile
-        )
-        pure_completions = bool(
-            getattr(scheduler, "batch_pure_completions", False)
-        )
-        release_key = (0.0, int(release_kind))
-        deadline_key = (0.0, int(deadline_kind))
-
-        while len(events) and not self._ended:
-            if until is not None:
-                next_time = peek()
-                if next_time is None or next_time >= until:
-                    return
-            if has_event_crashes:
-                self._maybe_crash_at_event()
-            event = pop()
-            t = event.time
-            if t < self._now - _EPS:
-                raise SimulationError(
-                    f"time went backwards: {t} < {self._now}"
-                )
-            if event.kind is end_kind:
-                self._now = t
-                self._ended = True
-                break
-            if t > horizon:
-                self._now = horizon
-                self._ended = True
-                break
-            self._now = t
-            release_key = (t, int(release_kind))
-            deadline_key = (t, int(deadline_kind))
-
-            while True:
-                if noop(event):
-                    if octx is not None:
-                        octx.metrics.counter(
-                            "kernel.events.skipped_stale"
-                        ).inc()
-                else:
-                    kind = event.kind
-                    if (
-                        obs_ok
-                        and not self._batch_unsafe
-                        and (
-                            (
-                                kind is release_kind
-                                and peek_key() == release_key
-                            )
-                            or (
-                                kind is deadline_kind
-                                and pure_completions
-                                and peek_key() == deadline_key
-                            )
-                        )
-                    ):
-                        self._dispatch_gathered(event, t, kind)
-                    else:
-                        # Singleton (or ungatherable) event: the exact
-                        # per-event path of _run_full.
-                        if journal is not None:
-                            self._journal_event(event)
-                        self._dispatch_count += 1
-                        if octx is None:
-                            dispatch(event)
-                        else:
-                            self._dispatch_observed(octx, event)
-                        if watchdog is not None:
-                            watchdog.after_event(owner, event)
-                        if (
-                            snapshot_every is not None
-                            and self._dispatch_count % snapshot_every == 0
-                        ):
-                            self._last_snapshot = self.snapshot()
-                            if journal is not None:
-                                journal.flush()
-                if peek() != t:
-                    break
-                if has_event_crashes:
-                    self._maybe_crash_at_event()
-                event = pop()
-                if event.kind is end_kind:
-                    self._now = t
-                    self._ended = True
-                    break
-
-    def _dispatch_gathered(self, first: Event, t: float, kind) -> None:
-        """Pop the rest of ``first``'s ``(time, kind)`` group and dispatch
-        it through the batch contract.
-
-        Every pop takes the event-indexed crash hook, the no-op filter
-        and the journal append/verify *at gather time* — the dispatch
-        index and record content of a live event are fully determined
-        before any of the group's decisions apply, so a crash mid-gather
-        leaves exactly the journal prefix the scalar loop would have.
-        The snapshot cadence is settled once at group end (a snapshot
-        cannot be taken mid-group: popped-but-unapplied events would be
-        lost from it)."""
-        events = self._events
-        octx = self._obs
-        noop = self._event_is_noop
-        has_event_crashes = bool(self._event_crashes)
-        key = (t, int(kind))
-        base = self._dispatch_count
-        self._journal_event(first)
-        self._dispatch_count += 1
-        group = [first]
-        while events.peek_key() == key:
-            if has_event_crashes:
-                self._maybe_crash_at_event()
-            event = events.pop()
-            if noop(event):
-                # Group members' no-op status cannot be changed by the
-                # dispatch of earlier same-kind members (releases are
-                # never no-ops; a waiting job's deadline no-op only flips
-                # on terminality, which same-instant deadline handling of
-                # *other* jobs never causes) — so filtering at gather
-                # time matches the scalar pop-by-pop filter exactly.
-                if octx is not None:
-                    octx.metrics.counter("kernel.events.skipped_stale").inc()
-                continue
-            self._journal_event(event)
-            self._dispatch_count += 1
-            group.append(event)
-        if kind is EventKind.RELEASE:
-            if len(group) == 1:
-                self._dispatch_group_sequential(group)
-            else:
-                self._dispatch_release_group(group, t)
-        else:
-            self._dispatch_deadline_group(group, t)
-        snapshot_every = self._snapshot_every
-        if snapshot_every is not None and (
-            self._dispatch_count // snapshot_every != base // snapshot_every
-        ):
-            self._last_snapshot = self.snapshot()
-            if self._journal is not None:
-                self._journal.flush()
-
-    def _dispatch_group_sequential(self, group: List[Event]) -> None:
-        """Dispatch an already-gathered (journaled, counted) group through
-        the per-event machinery — the fallback when a gathered group turns
-        out not to satisfy the batch preconditions.  Bit-identical to the
-        scalar loop: under the gather gating no same-instant event of the
-        group's (or a higher) priority can be pushed mid-group, so the
-        scalar loop would have popped exactly these events in this order."""
-        octx = self._obs
-        watchdog = self._watchdog
-        owner = self.owner
-        dispatch = self._dispatch
-        base = self._dispatch_count - len(group)
-        if octx is None:
-            for i, event in enumerate(group):
-                dispatch(event)
-                if watchdog is not None:
-                    watchdog.after_event(owner, event)
-            return
-        sink = octx.sink
-        metrics = octx.metrics
-        events_c = metrics.counter("kernel.events")
-        gauge = metrics.gauge("kernel.heap_size")
-        heap_len = len(self._events)
-        last = len(group) - 1
-        for i, event in enumerate(group):
-            if sink is not None:
-                sink.current_dispatch = base + i
-            events_c.inc()
-            metrics.counter("kernel.events." + event.kind.name).inc()
-            # The scalar loop pops one event at a time: at event i the
-            # rest of the group is still in the heap.
-            gauge.set(float(len(self._events) + (last - i)))
-            dispatch(event)
-            if watchdog is not None:
-                watchdog.after_event(owner, event)
-
-    def _dispatch_release_group(
-        self, group: List[Event], t: float, fast: bool = False
-    ) -> None:
-        """One ``plan()`` call for a same-instant release burst.
-
-        The jobs are marked READY (and their remaining initialised) up
-        front so the scheduler sees the whole group's columns; decisions
-        are then applied one event at a time — each release emitted, its
-        decision record emitted, its assignment applied — so segments and
-        traces are bit-identical to per-event dispatch.
-
-        ``fast=True`` (the uninstrumented loop only) applies just the
-        group's *final* assignment instead.  Same-instant intermediate
-        switches are observably inert without journal/obs/snapshots: they
-        fold zero work (``remaining`` bit-unchanged), their zero-length
-        segments are dropped by ``ScheduleTrace.add_segment``, and the
-        completion events they push are orphaned within the same group —
-        so skipping them changes only internal version counters and heap
-        churn, never results or traces."""
-        from repro.sim.batchproto import BatchView
-
-        scheduler = self._scheduler
-        row_of = self._row
-        rem = self._rem
-        st = self._st
-        jobs: List[Job] = []
-        rows: List[int] = []
-        for event in group:
-            job = event.payload
-            row = row_of[job.jid]
-            st[row] = _READY
-            rem[row] = job.workload
-            jobs.append(job)
-            rows.append(row)
-        view = BatchView(t, EventKind.RELEASE, jobs, rows, self._table)
-        if fast:
-            planner = getattr(scheduler, "on_releases_fast", None)
-            if planner is not None:
-                self._apply(planner(view), t)
-            else:
-                self._apply(scheduler.plan(view).desired[-1], t)
-            return
-        decisions = scheduler.plan(view)
-        desired = decisions.desired
-        payloads = decisions.obs
-        if len(desired) != len(jobs):
-            raise SchedulingError(
-                f"plan() returned {len(desired)} decisions for "
-                f"{len(jobs)} releases"
-            )
-        apply = self._apply
-        octx = self._obs
-        watchdog = self._watchdog
-        owner = self.owner
-        if octx is None:
-            if watchdog is None:
-                for want in desired:
-                    apply(want, t)
-            else:
-                for i, event in enumerate(group):
-                    apply(desired[i], t)
-                    watchdog.after_event(owner, event)
-            return
-        # Traced batch (batch_obs_exact schedulers only): the group's
-        # emissions land in one ring container (exploded lazily on
-        # export), interleaved per event exactly as the scalar loop
-        # interleaves them.
-        sink = octx.sink
-        metrics = octx.metrics
-        events_c = metrics.counter("kernel.events")
-        kind_c = metrics.counter("kernel.events.RELEASE")
-        gauge = metrics.gauge("kernel.heap_size")
-        emit = octx.emit
-        decision = octx.decision
-        base = self._dispatch_count - len(group)
-        last = len(group) - 1
-        with octx.decisions(t):
-            for i, job in enumerate(jobs):
-                if sink is not None:
-                    sink.current_dispatch = base + i
-                events_c.inc()
-                kind_c.inc()
-                gauge.set(float(len(self._events) + (last - i)))
-                emit(
-                    "job.release",
-                    t,
-                    {
-                        "jid": job.jid,
-                        "deadline": job.deadline,
-                        "workload": job.workload,
-                        "value": job.value,
-                    },
-                )
-                payload = payloads[i]
-                if payload is not None:
-                    policy, action, jid, extra = payload
-                    if extra:
-                        decision(policy, action, t, jid, **extra)
-                    else:
-                        decision(policy, action, t, jid)
-                apply(desired[i], t)
-                if watchdog is not None:
-                    watchdog.after_event(owner, group[i])
-
-    def _dispatch_deadline_group(self, group: List[Event], t: float) -> None:
-        """One ``on_completions()`` purge for a same-instant deadline
-        sweep of *waiting* jobs.
-
-        Batched only when no job of the group is running (then the scalar
-        path per job is: mark FAILED, record, emit, then a silent
-        queue-purge ``on_job_end`` that keeps the current assignment — no
-        applies, so the fold is one purge call).  Otherwise the gathered
-        group falls back to per-event dispatch, which handles the
-        running-job tolerance-completion branch exactly as the scalar
-        loop does."""
-        current = self._current[0] if self._single else None
-        batchable = self._single and current is not None
-        if batchable:
-            cur_jid = current.jid
-            for event in group:
-                if event.payload.jid == cur_jid:
-                    batchable = False
-                    break
-        if not batchable:
-            self._dispatch_group_sequential(group)
-            return
-        from repro.sim.batchproto import BatchView
-
-        row_of = self._row
-        st = self._st
-        outcomes = self._outcomes
-        octx = self._obs
-        watchdog = self._watchdog
-        owner = self.owner
-        jobs: List[Job] = []
-        rows: List[int] = []
-        for event in group:
-            job = event.payload
-            jobs.append(job)
-            rows.append(row_of[job.jid])
-        if octx is None:
-            for i, job in enumerate(jobs):
-                st[rows[i]] = _FAILED
-                outcomes.record_outcome(job, JobStatus.FAILED, t)
-                if watchdog is not None:
-                    watchdog.after_event(owner, group[i])
-        else:
-            sink = octx.sink
-            metrics = octx.metrics
-            events_c = metrics.counter("kernel.events")
-            kind_c = metrics.counter("kernel.events.DEADLINE")
-            miss_c = metrics.counter("kernel.deadline_misses")
-            gauge = metrics.gauge("kernel.heap_size")
-            emit = octx.emit
-            base = self._dispatch_count - len(group)
-            last = len(group) - 1
-            with octx.decisions(t):
-                for i, job in enumerate(jobs):
-                    if sink is not None:
-                        sink.current_dispatch = base + i
-                    events_c.inc()
-                    kind_c.inc()
-                    gauge.set(float(len(self._events) + (last - i)))
-                    st[rows[i]] = _FAILED
-                    outcomes.record_outcome(job, JobStatus.FAILED, t)
-                    miss_c.inc()
-                    emit(
-                        "job.deadline_miss",
-                        t,
-                        {"jid": job.jid, "value": job.value},
-                    )
-                    if watchdog is not None:
-                        watchdog.after_event(owner, group[i])
-        self._scheduler.on_completions(
-            BatchView(t, EventKind.DEADLINE, jobs, rows, self._table)
-        )
 
     def _wind_down(self) -> None:
         """Close running segments and fail unresolved jobs at ``now``.
@@ -1813,17 +1252,6 @@ class SchedulingKernel:
             self._table.load_state_dicts(snapshot.remaining, snapshot.status)
         else:
             self._table.load_state_columns(snapshot.remaining, snapshot.status)
-        # Re-derive the batch-gathering latch from the restored columns:
-        # the hazard it guards against is "a live job with (near-)zero
-        # remaining work gets started mid-group", so scanning the live
-        # rows is exactly sufficient — any *future* near-zero fold will
-        # re-trip the latch before the next gather, just as in the
-        # original run.
-        self._batch_unsafe = any(
-            (s == _READY or s == _RUNNING)
-            and r <= 1e-6 * max(1.0, job.workload)
-            for s, r, job in zip(self._st, self._rem, self._table.jobs)
-        )
         self._current = [
             None if jid is None else self._by_id[jid]
             for jid in snapshot.current_jids

@@ -112,8 +112,6 @@ class MultiprocessorEngine:
         watchdog: "object | None" = None,
         journal: "EventJournal | None" = None,
         snapshot_every: int | None = None,
-        event_queue: str = "auto",
-        protocol: str = "scalar",
     ) -> None:
         self._validate = bool(validate)
         self._kernel = SchedulingKernel(
@@ -126,9 +124,7 @@ class MultiprocessorEngine:
             watchdog=watchdog,
             journal=journal,
             snapshot_every=snapshot_every,
-            event_queue=event_queue,
             single=False,
-            protocol=protocol,
         )
         # Faults and watchdog monitors observe *this* object (the public
         # engine), which re-exports every kernel accessor they use.
@@ -250,8 +246,6 @@ def simulate_multi(
     watchdog: "object | None" = None,
     journal: "EventJournal | None" = None,
     snapshot_every: int | None = None,
-    event_queue: str = "auto",
-    protocol: str = "scalar",
     recover: bool = False,
     max_recoveries: int = 8,
 ) -> MultiSimulationResult:
@@ -275,8 +269,6 @@ def simulate_multi(
             watchdog=watchdog,
             journal=journal,
             snapshot_every=snapshot_every,
-            event_queue=event_queue,
-            protocol=protocol,
         )
 
     result, recoveries = run_with_recovery(

@@ -28,17 +28,11 @@ __all__ = ["PartitionedScheduler"]
 
 
 class _ProcView(SchedulerContext):
-    """Single-processor view of the multi context, for sub-schedulers.
-
-    During a batched release fold (:meth:`PartitionedScheduler.plan`) the
-    parent installs a shared *hypothetical* running vector; sub-scheduler
-    reads of ``current_job`` then see the fold's per-processor state
-    instead of the not-yet-applied kernel assignment."""
+    """Single-processor view of the multi context, for sub-schedulers."""
 
     def __init__(self, ctx: MultiSchedulerContext, proc: int) -> None:
         self._ctx = ctx
         self._proc = proc
-        self._hypo_running: "Optional[list]" = None
         self.obs = ctx.obs  # pass the observability gate through the view
 
     def now(self) -> float:
@@ -55,9 +49,6 @@ class _ProcView(SchedulerContext):
         return self._ctx.bounds(self._proc)
 
     def current_job(self) -> Optional[Job]:
-        hypo = self._hypo_running
-        if hypo is not None:
-            return hypo[self._proc]
         return self._ctx.running()[self._proc]
 
     def set_alarm(self, job: Job, time: float, tag: str = "claxity") -> None:
@@ -85,11 +76,6 @@ class PartitionedScheduler(MultiScheduler):
 
     name = "Partitioned"
 
-    #: Release bursts fold through :meth:`plan`; the sub-schedulers emit
-    #: their decision records directly mid-fold, so tracing keeps the
-    #: per-event path (``batch_obs_exact`` stays ``False``).
-    batch_capable = True
-
     def __init__(
         self,
         dispatcher: Dispatcher,
@@ -103,13 +89,10 @@ class PartitionedScheduler(MultiScheduler):
         m = self.ctx.n_procs
         self._dispatcher.reset(m, [self.ctx.bounds(p)[0] for p in range(m)])
         self._subs: list[Scheduler] = []
-        self._views: list[_ProcView] = []
         for proc in range(m):
             sub = self._factory()
-            view = _ProcView(self.ctx, proc)
-            sub.bind(view)
+            sub.bind(_ProcView(self.ctx, proc))
             self._subs.append(sub)
-            self._views.append(view)
         self._proc_of: dict[int, int] = {}
         self.name = f"Partitioned({self._dispatcher.name}/{self._subs[0].name})"
 
@@ -125,42 +108,6 @@ class PartitionedScheduler(MultiScheduler):
             raise SchedulingError(f"dispatcher routed to invalid processor {proc}")
         self._proc_of[job.jid] = proc
         return self._assignment_with(proc, self._subs[proc].on_release(job))
-
-    def plan(self, view) -> "object":
-        """Incremental re-plan of one release burst: route each newcomer,
-        fold it through its partition's sub-scheduler against the
-        hypothetical running vector, and emit one assignment snapshot per
-        event — bit-identical to dispatching the releases one at a time
-        (the dispatchers read only the job and their own routing state)."""
-        from repro.errors import SchedulingError as _SE
-        from repro.sim.batchproto import BatchDecisions
-        from repro.sim.events import EventKind
-
-        if view.kind != EventKind.RELEASE:
-            raise _SE(
-                f"{type(self).__name__} batches release groups only, "
-                f"got {view.kind!r}"
-            )
-        n_procs = self.ctx.n_procs
-        running = list(self.ctx.running())
-        views = self._views
-        for pv in views:
-            pv._hypo_running = running
-        desired: "list" = []
-        try:
-            for job in view.jobs:
-                proc = self._dispatcher.route(job)
-                if not 0 <= proc < n_procs:
-                    raise SchedulingError(
-                        f"dispatcher routed to invalid processor {proc}"
-                    )
-                self._proc_of[job.jid] = proc
-                running[proc] = self._subs[proc].on_release(job)
-                desired.append(tuple(running))
-        finally:
-            for pv in views:
-                pv._hypo_running = None
-        return BatchDecisions(desired)
 
     def on_job_end(self, job: Job, completed: bool) -> Assignment:
         proc = self._proc_of.get(job.jid)

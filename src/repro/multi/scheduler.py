@@ -93,14 +93,6 @@ class MultiScheduler(abc.ABC):
 
     name = "multi-scheduler"
 
-    #: Batch-protocol gating flags (see :mod:`repro.sim.batchproto`).
-    #: Conservative defaults: a multi policy must opt in to ``plan()``
-    #: by setting ``batch_capable`` and implementing it with assignment
-    #: decisions.
-    batch_capable = False
-    batch_obs_exact = False
-    batch_pure_completions = False
-
     def __init__(self) -> None:
         self.ctx: MultiSchedulerContext = None  # type: ignore[assignment]
 
@@ -254,31 +246,6 @@ class SingleProcessorAdapter(MultiScheduler):
 
     def on_eviction(self, job: Job) -> Assignment:
         return [self.inner.on_eviction(job)]
-
-    # -- batch protocol (forwarded when the inner policy supports it) ----
-    @property
-    def batch_capable(self) -> bool:  # type: ignore[override]
-        return bool(getattr(self.inner, "batch_capable", False))
-
-    @property
-    def batch_obs_exact(self) -> bool:  # type: ignore[override]
-        return bool(getattr(self.inner, "batch_obs_exact", False))
-
-    @property
-    def batch_pure_completions(self) -> bool:  # type: ignore[override]
-        return bool(getattr(self.inner, "batch_pure_completions", False))
-
-    def plan(self, view):
-        """Lift the inner policy's batch decisions to one-slot assignments."""
-        from repro.sim.batchproto import BatchDecisions
-
-        decisions = self.inner.plan(view)
-        return BatchDecisions(
-            [[d] for d in decisions.desired], decisions.obs
-        )
-
-    def on_completions(self, view) -> None:
-        self.inner.on_completions(view)
 
     def _policy_state(self) -> dict:
         return {"inner": self.inner.get_state()}

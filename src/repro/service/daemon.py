@@ -3,11 +3,10 @@
 This is the piece the kill -9 soak actually kills: a real child process
 running ``python -m repro serve --store DIR [--specs FILE]``.  Lifecycle:
 
-1. **boot** — if the store directory holds recoverable tenant state,
-   :meth:`~repro.service.supervisor.ScheduleService.cold_start` rebuilds
-   every tenant from disk; otherwise the spec file creates them fresh
-   (both can combine: specs seed the first incarnation, the store feeds
-   every later one);
+1. **boot** — every tenant the store directory holds a spec for resumes
+   from disk (snapshot + op log + WAL), and the spec file creates any
+   tenant the store holds no spec for (specs seed the first incarnation,
+   the store feeds every later one);
 2. **hello** — one JSON line on stdout announces readiness::
 
        {"event": "serving", "port": 49152, "cold_start": true, ...}
@@ -37,7 +36,11 @@ from repro.errors import ServiceError
 from repro.service.exposition import TelemetryExposition
 from repro.service.ingress import ServiceIngress
 from repro.service.shard import TenantSpec, tenant_spec_from_dict
-from repro.service.supervisor import RestartPolicy, ScheduleService
+from repro.service.supervisor import (
+    RestartPolicy,
+    ScheduleService,
+    stored_tenant_specs,
+)
 
 __all__ = ["load_specs_file", "serve", "main"]
 
@@ -53,18 +56,6 @@ def load_specs_file(path: "str | Path") -> List[TenantSpec]:
             f"specs file {str(path)!r} must hold a list of tenant specs"
         )
     return [tenant_spec_from_dict(entry) for entry in doc]
-
-
-def _store_has_state(store_dir: Path) -> bool:
-    from repro.store.tenant import SPEC_FILE
-
-    if not store_dir.is_dir():
-        return False
-    return any(
-        (sub / SPEC_FILE).exists()
-        for sub in store_dir.iterdir()
-        if sub.is_dir()
-    )
 
 
 async def serve(
@@ -91,27 +82,28 @@ async def serve(
     store_dir = Path(store_dir)
     store_dir.mkdir(parents=True, exist_ok=True)
 
-    cold = _store_has_state(store_dir)
-    if cold:
-        service = ScheduleService.cold_start(
-            store_dir,
-            policy=policy,
-            store_fsync=store_fsync,
-            telemetry=telemetry,
+    # Serve the union: resume every stored tenant, and create any given
+    # tenant the store has no spec for yet (a first start interrupted
+    # between tenants).  A given spec that differs from its stored one is
+    # refused when the shard opens its store.
+    stored = stored_tenant_specs(store_dir, fsync=store_fsync)
+    cold = bool(stored)
+    given = list(specs or ())
+    names = {spec.tenant for spec in given}
+    tenants = given + [spec for spec in stored if spec.tenant not in names]
+    if not tenants:
+        raise ServiceError(
+            f"store {str(store_dir)!r} is empty and no specs were "
+            "given; nothing to serve"
         )
-    else:
-        if not specs:
-            raise ServiceError(
-                f"store {str(store_dir)!r} is empty and no specs were "
-                "given; nothing to serve"
-            )
-        service = ScheduleService(
-            specs,
-            policy=policy,
-            store_dir=store_dir,
-            store_fsync=store_fsync,
-            telemetry=telemetry,
-        )
+    service = ScheduleService(
+        tenants,
+        policy=policy,
+        store_dir=store_dir,
+        resume=cold,
+        store_fsync=store_fsync,
+        telemetry=telemetry,
+    )
     await service.start()
 
     ingress = ServiceIngress(service, verify_on_close=True)

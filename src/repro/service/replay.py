@@ -96,7 +96,6 @@ def replay_tenant(report: TenantReport) -> ReplayCheck:
         faults=faults,
         journal=replay_journal,
         snapshot_every=spec.snapshot_every,
-        event_queue="heap",
     )
 
     results_identical = results_bit_identical(report.result, replay_result)

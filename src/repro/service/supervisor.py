@@ -220,6 +220,27 @@ class TenantSupervisor:
         return report
 
 
+def stored_tenant_specs(
+    store_dir: "str | Path", *, fsync: bool = True
+) -> List[TenantSpec]:
+    """The spec of every tenant subdirectory of ``store_dir`` that holds
+    one, in directory-name order (empty for a missing or fresh store)."""
+    root = Path(store_dir)
+    specs: List[TenantSpec] = []
+    if root.is_dir():
+        for sub in sorted(p for p in root.iterdir() if p.is_dir()):
+            if not (sub / SPEC_FILE).exists():
+                continue
+            store = TenantStore(sub, fsync=fsync)
+            try:
+                doc = store.load_spec()
+            finally:
+                store.close()
+            if doc is not None:
+                specs.append(tenant_spec_from_dict(doc))
+    return specs
+
+
 class ScheduleService:
     """The always-on front: per-tenant queues, workers and supervisors."""
 
@@ -269,18 +290,7 @@ class ScheduleService:
         subdirectory with a valid spec is resumed from its snapshot +
         op log + WAL.  ``await start()`` performs the actual recovery."""
         root = Path(store_dir)
-        specs: List[TenantSpec] = []
-        if root.is_dir():
-            for sub in sorted(p for p in root.iterdir() if p.is_dir()):
-                if not (sub / SPEC_FILE).exists():
-                    continue
-                store = TenantStore(sub, fsync=store_fsync)
-                try:
-                    doc = store.load_spec()
-                finally:
-                    store.close()
-                if doc is not None:
-                    specs.append(tenant_spec_from_dict(doc))
+        specs = stored_tenant_specs(root, fsync=store_fsync)
         if not specs:
             raise ServiceError(
                 f"no recoverable tenant state under {str(root)!r}"

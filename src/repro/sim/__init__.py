@@ -7,13 +7,7 @@ piecewise-constant capacity, firm-deadline policing — need a custom kernel.
 
 from repro.sim.engine import SimulationEngine, simulate
 from repro.sim.gantt import render_gantt
-from repro.sim.events import (
-    CalendarEventQueue,
-    Event,
-    EventKind,
-    EventQueue,
-    make_event_queue,
-)
+from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.invariants import (
     InvariantMonitor,
     InvariantViolation,
@@ -50,8 +44,6 @@ __all__ = [
     "Event",
     "EventKind",
     "EventQueue",
-    "CalendarEventQueue",
-    "make_event_queue",
     "Job",
     "JobStatus",
     "JobTable",

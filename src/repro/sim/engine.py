@@ -140,19 +140,6 @@ class SimulationEngine:
         Take an :class:`~repro.sim.journal.EngineSnapshot` every N
         dispatched events (kept as ``last_snapshot``).  Defaults to 64
         when a crash plan is armed, else off.
-    event_queue:
-        Event-queue layout: ``"auto"`` (default — a bucketed calendar
-        queue in high-λ regimes, a binary heap otherwise), ``"heap"`` or
-        ``"calendar"``.  Constant-factor only; runs are bit-identical
-        under every choice (:func:`repro.sim.events.make_event_queue`).
-    protocol:
-        Scheduler dispatch protocol: ``"scalar"`` (default — one handler
-        call per event, the historical path), ``"batch"`` / ``"auto"`` —
-        feed same-instant interrupt groups through
-        :meth:`~repro.sim.batchproto.BatchScheduler.plan` when the
-        scheduler is ``batch_capable``.  Results, journals and exported
-        traces are bit-identical under every choice
-        (``tests/properties/test_property_batchproto.py``).
     """
 
     def __init__(
@@ -167,8 +154,6 @@ class SimulationEngine:
         watchdog: "object | None" = None,
         journal: "EventJournal | None" = None,
         snapshot_every: int | None = None,
-        event_queue: str = "auto",
-        protocol: str = "scalar",
     ) -> None:
         self._validate = bool(validate)
         self._kernel = SchedulingKernel(
@@ -181,9 +166,7 @@ class SimulationEngine:
             watchdog=watchdog,
             journal=journal,
             snapshot_every=snapshot_every,
-            event_queue=event_queue,
             single=True,
-            protocol=protocol,
         )
         # Faults and watchdog monitors observe *this* object (the public
         # engine), which re-exports every kernel accessor they use.
@@ -293,8 +276,6 @@ def simulate(
     watchdog: "object | None" = None,
     journal: "EventJournal | None" = None,
     snapshot_every: int | None = None,
-    event_queue: str = "auto",
-    protocol: str = "scalar",
     recover: bool = False,
     max_recoveries: int = 8,
 ) -> SimulationResult:
@@ -318,8 +299,6 @@ def simulate(
             watchdog=watchdog,
             journal=journal,
             snapshot_every=snapshot_every,
-            event_queue=event_queue,
-            protocol=protocol,
         )
 
     result, recoveries = run_with_recovery(

@@ -1,4 +1,4 @@
-"""Event types and the event queues for the discrete-event engine.
+"""Event types and the event queue for the discrete-event engine.
 
 Events are totally ordered by ``(time, kind priority, sequence)``.  The kind
 priority encodes the tie-breaking rules the paper's semantics require at a
@@ -24,22 +24,9 @@ caller has hinted that more than half the heap is dead
 staleness predicate and re-heapified.  Compaction preserves pop order
 exactly because every entry's ``(time, kind, seq)`` key is unique.
 
-Two implementations share one contract (push/pop/peek/compact/dump/load):
-
-* :class:`EventQueue` — a single binary heap.  O(log n) everywhere, the
-  right default for paper-scale runs.
-* :class:`CalendarEventQueue` — a bucketed (calendar-queue) variant for
-  high-λ regimes: events hash into fixed-width time buckets (each bucket a
-  small heap over the full ``(time, kind, seq)`` key, bucket indices in a
-  second tiny heap), so pushes and pops touch a bucket of a few entries
-  instead of a deep global heap.  Pop order is *identical* to the binary
-  heap's by construction — buckets partition time, and within a bucket the
-  full unique key orders entries — which the equivalence property suite
-  pins down (``tests/sim/test_events_calendar.py``).
-
-:func:`make_event_queue` selects between them ("heap", "calendar", or
-"auto" on a seeded-event-density heuristic — see
-``docs/PERFORMANCE.md``).
+The queue is a single binary heap (:class:`EventQueue`): O(log n) push and
+pop, O(n) bulk seeding (:meth:`EventQueue.push_many`), and a sorted
+:meth:`~EventQueue.dump` / :meth:`~EventQueue.load` pair for snapshots.
 """
 
 from __future__ import annotations
@@ -51,13 +38,7 @@ from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
-__all__ = [
-    "EventKind",
-    "Event",
-    "EventQueue",
-    "CalendarEventQueue",
-    "make_event_queue",
-]
+__all__ = ["EventKind", "Event", "EventQueue"]
 
 
 class EventKind(enum.IntEnum):
@@ -184,36 +165,6 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         return self._heap[0][0] if self._heap else None
 
-    def peek_key(self) -> Optional[Tuple[float, int]]:
-        """``(time, int(kind))`` of the head event without popping it.
-
-        The batch dispatch path uses this to gather whole same-``(time,
-        kind)`` groups; like :meth:`peek_time` it sees stale entries too
-        (the caller filters them exactly as the scalar loop would)."""
-        head = self._heap[0] if self._heap else None
-        return None if head is None else (head[0], head[1])
-
-    def pop_group(self, time: float, kind_int: int) -> List[Event]:
-        """Pop every consecutive head entry keyed exactly ``(time,
-        kind_int)``, in pop order.
-
-        Equivalent to repeated ``peek_key()``/``pop()`` — one call per
-        gathered group instead of two per event, with the key comparison
-        done on the raw heap entry (no tuple allocation).  Stale entries
-        come out too; the caller filters them exactly as the scalar loop
-        would."""
-        heap = self._heap
-        out: List[Event] = []
-        heappop = heapq.heappop
-        while heap:
-            head = heap[0]
-            if head[0] != time or head[1] != kind_int:
-                break
-            out.append(heappop(heap)[3])
-        if out and self._stale_hint:
-            self._stale_hint = min(self._stale_hint, len(heap))
-        return out
-
     # -- compaction (lazy-deletion hygiene) ---------------------------------
 
     def note_stale(self, n: int = 1) -> int:
@@ -286,201 +237,3 @@ class EventQueue:
         """Current hinted count of dead entries (snapshot bookkeeping)."""
         return self._stale_hint
 
-
-class CalendarEventQueue(EventQueue):
-    """Bucketed (calendar-queue) event queue for high-λ regimes.
-
-    Events hash into fixed-width time buckets; each bucket is a small heap
-    over the full ``(time, kind, seq)`` entry, and a second heap orders the
-    indices of non-empty buckets.  Because buckets partition the time axis
-    monotonically and the per-bucket key is the same unique total order the
-    binary heap uses, the pop sequence is **identical** to
-    :class:`EventQueue`'s for any push/pop interleaving — the calendar
-    layout only changes *where* the log factor is paid (a bucket of O(1)
-    expected entries instead of one deep heap).
-
-    ``bucket_width`` sets the time span per bucket; pick roughly
-    ``horizon / expected_events × 4`` so a bucket holds a few events
-    (:func:`make_event_queue` does this).
-    """
-
-    def __init__(
-        self,
-        stale: Callable[[Event], bool] | None = None,
-        *,
-        bucket_width: float = 1.0,
-    ) -> None:
-        super().__init__(stale)
-        if not bucket_width > 0.0:
-            raise SimulationError(
-                f"bucket_width must be positive, got {bucket_width!r}"
-            )
-        self._width = float(bucket_width)
-        self._buckets: dict[int, List[_Entry]] = {}
-        self._order: List[int] = []  # heap of non-empty bucket indices
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _bucket_of(self, time: float) -> int:
-        return int(time // self._width)
-
-    def push(self, event: Event) -> None:
-        if event.time != event.time:  # NaN guard
-            raise SimulationError(f"event with NaN time: {event!r}")
-        entry = (event.time, int(event.kind), next(self._counter), event)
-        self._place(entry)
-
-    def push_many(self, events: Iterable[Event]) -> None:
-        for event in events:
-            self.push(event)
-
-    def _place(self, entry: _Entry) -> None:
-        idx = self._bucket_of(entry[0])
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = [entry]
-            heapq.heappush(self._order, idx)
-        else:
-            heapq.heappush(bucket, entry)
-        self._size += 1
-
-    def _head_bucket(self) -> Optional[List[_Entry]]:
-        """The bucket holding the globally minimal entry (cleans up emptied
-        buckets lazily); ``None`` when the queue is empty."""
-        order = self._order
-        buckets = self._buckets
-        while order:
-            bucket = buckets.get(order[0])
-            if bucket:
-                return bucket
-            # Emptied (or vanished) bucket index: retire it.
-            buckets.pop(order[0], None)
-            heapq.heappop(order)
-        return None
-
-    def pop(self) -> Event:
-        bucket = self._head_bucket()
-        if bucket is None:
-            raise SimulationError("pop from empty event queue")
-        time, kind, seq, event = heapq.heappop(bucket)
-        self._size -= 1
-        if self._stale_hint:
-            self._stale_hint = min(self._stale_hint, self._size)
-        return event
-
-    def peek_time(self) -> Optional[float]:
-        bucket = self._head_bucket()
-        return bucket[0][0] if bucket else None
-
-    def peek_key(self) -> Optional[Tuple[float, int]]:
-        bucket = self._head_bucket()
-        return (bucket[0][0], bucket[0][1]) if bucket else None
-
-    def pop_group(self, time: float, kind_int: int) -> List[Event]:
-        """See :meth:`EventQueue.pop_group`; buckets partition the time
-        axis, so a same-time group always sits in one bucket — but the
-        head bucket is re-resolved per pop (popping the bucket's last
-        entry retires it)."""
-        out: List[Event] = []
-        heappop = heapq.heappop
-        while True:
-            bucket = self._head_bucket()
-            if not bucket:
-                break
-            head = bucket[0]
-            if head[0] != time or head[1] != kind_int:
-                break
-            out.append(heappop(bucket)[3])
-            self._size -= 1
-        if out and self._stale_hint:
-            self._stale_hint = min(self._stale_hint, self._size)
-        return out
-
-    def compact(self) -> int:
-        if self._stale is None:
-            self._stale_hint = 0
-            return 0
-        before = self._size
-        stale = self._stale
-        buckets = {}
-        for idx, bucket in self._buckets.items():
-            kept = [entry for entry in bucket if not stale(entry[3])]
-            if kept:
-                heapq.heapify(kept)
-                buckets[idx] = kept
-        self._buckets = buckets
-        self._order = list(buckets.keys())
-        heapq.heapify(self._order)
-        self._size = sum(len(b) for b in buckets.values())
-        self._stale_hint = 0
-        return before - self._size
-
-    def dump(self) -> List[_Entry]:
-        out: List[_Entry] = []
-        for bucket in self._buckets.values():
-            out.extend(bucket)
-        out.sort()
-        return out
-
-    def load(
-        self,
-        entries: Iterable[_Entry],
-        next_seq: int,
-        stale_hint: int = 0,
-    ) -> None:
-        self._buckets = {}
-        self._order = []
-        self._size = 0
-        for entry in entries:
-            self._place(entry)
-        self._counter = itertools.count(int(next_seq))
-        self._stale_hint = int(stale_hint)
-
-
-#: ``make_event_queue("auto")`` picks the calendar layout when the seeded
-#: event density (events per simulated time unit) reaches this bar *and*
-#: there are enough events for bucketing to matter.  Below it the single
-#: binary heap wins on constant factors.  (docs/PERFORMANCE.md)
-CALENDAR_DENSITY_THRESHOLD = 24.0
-CALENDAR_MIN_EVENTS = 4096
-
-#: Target expected entries per calendar bucket.
-_CALENDAR_FILL = 4.0
-
-
-def make_event_queue(
-    mode: str = "auto",
-    *,
-    stale: Callable[[Event], bool] | None = None,
-    horizon: float = 0.0,
-    expected_events: int = 0,
-) -> EventQueue:
-    """Build the event queue for a run.
-
-    ``mode`` is ``"heap"``, ``"calendar"`` or ``"auto"``; auto selects the
-    calendar layout for high-λ regimes (seeded-event density ≥
-    ``CALENDAR_DENSITY_THRESHOLD`` per time unit and at least
-    ``CALENDAR_MIN_EVENTS`` events), else the binary heap.  Both produce
-    bit-identical pop orders; the choice is purely a constant-factor one.
-    """
-    if mode not in ("auto", "heap", "calendar"):
-        raise SimulationError(
-            f"unknown event queue mode {mode!r} "
-            "(expected 'auto', 'heap' or 'calendar')"
-        )
-    if mode == "auto":
-        dense = (
-            horizon > 0.0
-            and expected_events >= CALENDAR_MIN_EVENTS
-            and expected_events / horizon >= CALENDAR_DENSITY_THRESHOLD
-        )
-        mode = "calendar" if dense else "heap"
-    if mode == "calendar":
-        if horizon > 0.0 and expected_events > 0:
-            width = max(horizon * _CALENDAR_FILL / expected_events, 1e-9)
-        else:
-            width = 1.0
-        return CalendarEventQueue(stale, bucket_width=width)
-    return EventQueue(stale)

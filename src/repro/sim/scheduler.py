@@ -117,18 +117,6 @@ class Scheduler(abc.ABC):
     #: Human-readable policy name (used in results and tables).
     name: str = "scheduler"
 
-    #: Batch-protocol capability flags (see :mod:`repro.sim.batchproto`).
-    #: The base class is scalar-only: under ``protocol="batch"`` the kernel
-    #: keeps any scheduler with ``batch_capable = False`` on per-event
-    #: dispatch, so un-ported policies never see a ``plan`` call.
-    batch_capable: bool = False
-    #: Whether the batch handlers reproduce scalar observability emissions
-    #: exactly; only consulted when ``batch_capable`` is true.
-    batch_obs_exact: bool = True
-    #: Whether ``on_job_end`` for a waiting job is a pure queue purge;
-    #: only consulted when ``batch_capable`` is true.
-    batch_pure_completions: bool = True
-
     def __init__(self) -> None:
         self.ctx: SchedulerContext = None  # type: ignore[assignment]
         self._sensor_last_good: float | None = None
@@ -220,11 +208,9 @@ class Scheduler(abc.ABC):
     def _emit_decision(self, payload: "tuple | None") -> None:
         """Emit a ``(policy, action, jid, extra)`` decision payload.
 
-        Factored release handlers (:mod:`repro.sim.batchproto`) *return*
-        their decision record instead of emitting it; the scalar wrapper
-        emits here — at the same ring position as before the refactor —
-        while the batch kernel emits the payloads itself, interleaved with
-        the group's release events."""
+        Factored release handlers (``_on_release_from``) *return* their
+        decision record instead of emitting it; ``on_release`` emits it
+        here."""
         if payload is None:
             return
         obs = self.ctx.obs

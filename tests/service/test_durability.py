@@ -12,7 +12,12 @@ import json
 
 import pytest
 
-from repro.errors import DrainingError, RecoveryError, StorageError
+from repro.errors import (
+    DrainingError,
+    RecoveryError,
+    ServiceError,
+    StorageError,
+)
 from repro.service import (
     Advance,
     CapacitySpec,
@@ -92,10 +97,28 @@ class TestSpecRoundtrip:
 
     def test_pre_upgrade_store_still_resumes(self, tmp_path):
         """A tenant directory written before a defaulted spec field existed
-        (here: ``protocol``) must keep resuming — the shard normalizes the
-        stored doc through the spec round-trip before comparing."""
-        old_doc = tenant_spec_to_dict(_spec())
-        del old_doc["protocol"]  # what a pre-upgrade store holds on disk
+        (here: ``flush_every``) must keep resuming — the shard normalizes
+        the stored doc through the spec round-trip before comparing."""
+        old_doc = tenant_spec_to_dict(_spec(flush_every=8))
+        del old_doc["flush_every"]  # what a pre-upgrade store holds on disk
+        store = TenantStore(tmp_path / "t0")
+        store.ensure_spec(old_doc)
+        store.close()
+
+        revived = TenantShard(
+            _spec(flush_every=8), store=TenantStore(tmp_path / "t0"), resume=True
+        )
+        assert revived.spec.flush_every == 8
+
+    @pytest.mark.parametrize("legacy", ["scalar", "batch", "auto"])
+    def test_retired_protocol_field_is_dropped(self, tmp_path, legacy):
+        """Stores written while specs carried a ``protocol`` field keep
+        resuming under every value it could hold; the field is not written
+        back."""
+        old_doc = dict(tenant_spec_to_dict(_spec()), protocol=legacy)
+        assert tenant_spec_to_dict(tenant_spec_from_dict(old_doc)) == (
+            tenant_spec_to_dict(_spec())
+        )
         store = TenantStore(tmp_path / "t0")
         store.ensure_spec(old_doc)
         store.close()
@@ -103,7 +126,12 @@ class TestSpecRoundtrip:
         revived = TenantShard(
             _spec(), store=TenantStore(tmp_path / "t0"), resume=True
         )
-        assert revived.spec.protocol == "scalar"
+        assert "protocol" not in tenant_spec_to_dict(revived.spec)
+
+    def test_unknown_protocol_value_refused(self):
+        bad = dict(tenant_spec_to_dict(_spec()), protocol="vector")
+        with pytest.raises(ServiceError, match="unknown protocol"):
+            tenant_spec_from_dict(bad)
 
     def test_changed_spec_still_refuses(self, tmp_path):
         """Normalization only fills defaults; a genuinely different spec

@@ -99,7 +99,6 @@ class TestIncrementalParity:
             spec.build_capacity(),
             spec.build_scheduler(),
             horizon=spec.horizon,
-            event_queue="heap",
         )
         assert results_bit_identical(report.result, reference)
         assert report.lost_jids == ()
@@ -118,7 +117,6 @@ class TestIncrementalParity:
             spec.build_capacity(),
             spec.build_scheduler(),
             horizon=spec.horizon,
-            event_queue="heap",
         )
         assert results_bit_identical(report.result, reference)
 
@@ -190,7 +188,6 @@ class TestRecovery:
             spec.build_capacity(),
             spec.build_scheduler(),
             horizon=spec.horizon,
-            event_queue="heap",
         )
         assert results_bit_identical(report.result, reference)
         assert replay_tenant(report).ok

@@ -13,6 +13,7 @@ included.  Per-tenant journals and shed logs are written under
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -158,12 +159,15 @@ class TestKill9Smoke:
 
     Runs as its own CI step (``-m kill_soak_smoke``); the store
     directory lands under ``test-results/kill9/`` so a failure ships
-    the WAL, op log and snapshots as artifacts."""
+    the WAL, op log and snapshots as artifacts.  Each run starts from an
+    empty store (cold start from stores written by older versions is
+    covered deterministically by ``test_legacy_store.py``)."""
 
     def test_kill9_soak_passes(self):
         from repro.experiments.soak import Kill9Config, run_kill9
 
         store_dir = ARTIFACT_DIR.parent / "kill9"
+        shutil.rmtree(store_dir, ignore_errors=True)
         config = Kill9Config(
             tenants=2,
             lam=2.0,
