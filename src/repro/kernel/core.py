@@ -223,7 +223,9 @@ class SchedulingKernel:
         self._snapshot_every = snapshot_every
         self._event_crashes: List[Tuple[int, int]] = []  # (at_event, fault idx)
         self._dispatch_count = 0
-        self._verify_until = 0
+        # Dispatches below this index are verified against records the
+        # journal already holds (a reopened journal), not appended.
+        self._verify_until = 0 if journal is None else len(journal)
         self._last_snapshot: Optional[EngineSnapshot] = None
         self._started = False
         self._ended = False
@@ -799,10 +801,6 @@ class SchedulingKernel:
         self._started = True
         if self._snapshot_every is not None:
             self._last_snapshot = self.snapshot()
-            if self._journal is not None:
-                # Snapshot boundary: everything the snapshot supersedes is
-                # on disk before the snapshot becomes the recovery anchor.
-                self._journal.flush()
 
     def _maybe_crash_at_event(self) -> None:
         """Fire any event-indexed crash plan scheduled for the *next*
@@ -1046,8 +1044,6 @@ class SchedulingKernel:
                         and self._dispatch_count % snapshot_every == 0
                     ):
                         self._last_snapshot = self.snapshot()
-                        if journal is not None:
-                            journal.flush()
                 if peek() != t:
                     break
                 if has_event_crashes:
@@ -1314,8 +1310,6 @@ class SchedulingKernel:
             if rearm is not None:
                 rearm(self.owner, i)
 
-        if self._journal is not None and len(self._journal) > snapshot.dispatch_count:
-            self._verify_until = len(self._journal)
         if self._watchdog is not None:
             self._watchdog.start(self.owner)
         self._last_snapshot = snapshot

@@ -4,28 +4,29 @@ Every wire message may carry a ``request_id`` (client-chosen, or minted
 at the ingress).  The id is threaded through the whole causal path —
 wire → admission decision → shard op log → kernel dispatch → journal
 record — but **never** into the replay event domain: the op log and the
-snapshot dedup map are the durable witnesses, and the kernel WAL links
-in through the decided jid.  That is what makes correlation survive a
-``kill -9``: this module reconstructs the path from the tenant store
-alone (no live process required), optionally enriched by a lifecycle
-trace export.
+snapshot dedup map are the durable witnesses, and the kernel journal
+links in through the decided jid.  That is what makes correlation
+survive a ``kill -9``: this module reconstructs the path from the tenant
+store alone (no live process required), optionally enriched by a
+lifecycle trace export.
 
 The reconstruction reads, per tenant directory:
 
-* the **snapshot payload** — the dedup map (rid → outcome) and the
-  rid → jid index, which survive op-log compaction;
+* the **snapshot payload** — the dedup map (rid → outcome), the
+  rid → jid index and the shed records, which survive op-log
+  compaction;
 * the **op log** — surviving ``admit``/``shed``/``push``/``crash_mark``
-  records carrying the rid (the admission stage);
-* the **kernel WAL** (``wal.jsonl``) — every dispatched
-  release/completion/deadline record for the decided jid (the dispatch
-  and journal stages), incarnation-spanning because the WAL is resumed,
-  not rewritten, across cold starts;
-* the **shed sidecar** — the human-readable shed record, when present.
+  records carrying the rid (the admission stage; a shed whose op record
+  was compacted away takes its reason from the snapshot's shed list);
+* the **kernel journal** (``journal/``, or a legacy store's
+  ``wal.jsonl`` not yet imported) — every dispatched
+  release/completion/deadline record for the decided jid (the journal
+  stages), incarnation-spanning because the journal is extended, not
+  rewritten, across cold starts.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -69,6 +70,7 @@ def _scan_tenant_store(
         stages: List[Dict[str, Any]] = []
         outcome: Optional[str] = None
         jid: Optional[int] = None
+        snapshot_sheds: List[Dict[str, Any]] = []
 
         loaded = store.load_snapshot()
         if loaded is not None:
@@ -80,6 +82,7 @@ def _scan_tenant_store(
                 rid_jids = payload.get("rid_jids") or {}
                 if rid in rid_jids:
                     jid = int(rid_jids[rid])
+                snapshot_sheds = payload.get("shed") or []
 
         for seq, doc in store.ops():
             if doc.get("rid") != rid:
@@ -118,9 +121,22 @@ def _scan_tenant_store(
         if outcome is None and not stages:
             return None
 
+        if outcome == "shed" and not stages:
+            # The shed op record was compacted behind the snapshot.
+            for rec in snapshot_sheds:
+                if rec.get("jid") == jid:
+                    stages.append(
+                        {
+                            "stage": "admission",
+                            "op": "shed",
+                            "jid": jid,
+                            "reason": rec.get("reason"),
+                            "time": rec.get("time"),
+                        }
+                    )
+                    break
         if jid is not None and jid >= 0:
-            stages.extend(_wal_stages(store.wal_path, jid))
-            stages.extend(_shed_stages(store.shed_path, jid))
+            stages.extend(_journal_stages(store, jid))
         return {
             "tenant": tenant_dir.name,
             "jid": jid,
@@ -131,20 +147,23 @@ def _scan_tenant_store(
         store.close()
 
 
-def _wal_stages(wal_path: Optional[Path], jid: int) -> List[Dict[str, Any]]:
-    """Dispatch/journal records for a jid from the kernel WAL."""
+def _journal_stages(store, jid: int) -> List[Dict[str, Any]]:
+    """Dispatch records for a jid from the kernel journal: a legacy
+    ``wal.jsonl`` not yet imported, else the store's ``journal/``."""
     from repro.sim.journal import EventJournal
 
-    if wal_path is None or not wal_path.exists():
-        return []
     try:
-        journal = EventJournal.load(wal_path)
+        legacy = store.legacy_wal
+        if legacy is not None:
+            records = EventJournal.load(legacy).records
+        else:
+            records = EventJournal.open(store.journal_log).records
     except Exception:  # noqa: BLE001 - a missing stage, not a crash
         return []
     key = f"jid:{jid}"
     alarm_prefix = f"alarm:{jid}:"
     stages: List[Dict[str, Any]] = []
-    for record in journal.records:
+    for record in records:
         if (
             record.key == key
             or record.key.startswith(key + "@")
@@ -159,33 +178,6 @@ def _wal_stages(wal_path: Optional[Path], jid: int) -> List[Dict[str, Any]]:
                     "key": record.key,
                 }
             )
-    return stages
-
-
-def _shed_stages(
-    shed_path: Optional[Path], jid: int
-) -> List[Dict[str, Any]]:
-    if shed_path is None or not shed_path.exists():
-        return []
-    stages: List[Dict[str, Any]] = []
-    try:
-        for line in shed_path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue
-            if rec.get("jid") == jid:
-                stages.append(
-                    {
-                        "stage": "shed_sidecar",
-                        "reason": rec.get("reason"),
-                        "time": rec.get("time"),
-                    }
-                )
-    except OSError:
-        return []
     return stages
 
 

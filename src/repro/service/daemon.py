@@ -4,7 +4,7 @@ This is the piece the kill -9 soak actually kills: a real child process
 running ``python -m repro serve --store DIR [--specs FILE]``.  Lifecycle:
 
 1. **boot** — every tenant the store directory holds a spec for resumes
-   from disk (snapshot + op log + WAL), and the spec file creates any
+   from disk (snapshot + op log + journal), and the spec file creates any
    tenant the store holds no spec for (specs seed the first incarnation,
    the store feeds every later one);
 2. **hello** — one JSON line on stdout announces readiness::
@@ -18,7 +18,7 @@ running ``python -m repro serve --store DIR [--specs FILE]``.  Lifecycle:
    verdict);
 4. **SIGTERM/SIGINT** — graceful drain: new submits/faults ack
    ``draining``, queued work finishes, every tenant's snapshot + op log
-   + WAL is flushed, a final ``{"event": "drained", ...}`` line reports
+   + journal is flushed, a final ``{"event": "drained", ...}`` line reports
    the per-tenant stats, and the process exits 0.  ``SIGKILL`` skips all
    of that — which is exactly what the store design is for.
 """
@@ -86,7 +86,7 @@ async def serve(
     # tenant the store has no spec for yet (a first start interrupted
     # between tenants).  A given spec that differs from its stored one is
     # refused when the shard opens its store.
-    stored = stored_tenant_specs(store_dir, fsync=store_fsync)
+    stored = stored_tenant_specs(store_dir)
     cold = bool(stored)
     given = list(specs or ())
     names = {spec.tenant for spec in given}

@@ -19,7 +19,7 @@ wraps a :class:`~repro.sim.engine.SimulationEngine` driven
   :class:`~repro.errors.SimulatedCrash` carrying the last periodic
   snapshot — the supervisor's restart ladder takes it from there;
 * **recovery** rebuilds a fresh engine with exactly the jobs the
-  snapshot knows, restores it (which re-verifies the WAL tail), and
+  snapshot knows, restores it (which re-verifies the journal tail), and
   re-applies the shard's op log — admissions and fault pushes recorded
   with the dispatch count at which they were applied; ops at or past the
   snapshot's dispatch count are exactly the ones the snapshot cannot
@@ -44,10 +44,8 @@ double-admitting.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -217,8 +215,6 @@ class TenantSpec:
     fault_seed: int = 0
     queue_budget: int = 256
     snapshot_every: int = 32
-    flush_every: int = 8
-    fsync: bool = False
 
     def __post_init__(self) -> None:
         if not self.horizon > 0.0:
@@ -295,8 +291,6 @@ def tenant_spec_to_dict(spec: TenantSpec) -> Dict[str, Any]:
         "fault_seed": spec.fault_seed,
         "queue_budget": spec.queue_budget,
         "snapshot_every": spec.snapshot_every,
-        "flush_every": spec.flush_every,
-        "fsync": spec.fsync,
     }
 
 
@@ -307,7 +301,11 @@ _LEGACY_PROTOCOLS = ("scalar", "batch", "auto")
 
 
 def tenant_spec_from_dict(doc: Mapping[str, Any]) -> TenantSpec:
-    """Inverse of :func:`tenant_spec_to_dict` (cold-start path)."""
+    """Inverse of :func:`tenant_spec_to_dict` (cold-start path).
+
+    Older stores may also carry ``flush_every`` and ``fsync``, the knobs
+    of the retired JSONL journal file; they never touched the schedule
+    and are ignored whatever they hold."""
     try:
         cap = doc["capacity"]
         if doc.get("protocol", "scalar") not in _LEGACY_PROTOCOLS:
@@ -341,8 +339,6 @@ def tenant_spec_from_dict(doc: Mapping[str, Any]) -> TenantSpec:
             fault_seed=int(doc.get("fault_seed", 0)),
             queue_budget=int(doc.get("queue_budget", 256)),
             snapshot_every=int(doc.get("snapshot_every", 32)),
-            flush_every=int(doc.get("flush_every", 8)),
-            fsync=bool(doc.get("fsync", False)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ServiceError(f"invalid tenant spec document: {exc}") from exc
@@ -362,7 +358,6 @@ class TenantReport:
     recoveries: int
     forced_crashes: int
     journal: Optional[EventJournal]
-    journal_path: Optional[Path]
     restarts: int = 0
     backoffs: Tuple[float, ...] = ()
 
@@ -385,7 +380,6 @@ class TenantShard:
         self,
         spec: TenantSpec,
         *,
-        journal_dir: "str | Path | None" = None,
         store: Optional[TenantStore] = None,
         resume: bool = False,
         telemetry: bool = False,
@@ -402,9 +396,7 @@ class TenantShard:
         # the snapshot payload so `repro obs trace` survives op-log
         # compaction and kill -9).
         self._rid_jid: Dict[str, int] = {}
-        self._journal_path: Optional[Path] = None
-        self._shed_fh = None
-        shed_path: Optional[Path] = None
+        self._journal = EventJournal()
         if store is not None:
             # Round-tripping the stored doc fills in spec fields added
             # after the store was written (at their defaults), so old
@@ -415,13 +407,14 @@ class TenantShard:
                     tenant_spec_from_dict(doc)
                 ),
             )
-            self._journal_path = store.wal_path
-            shed_path = store.shed_path
-        elif journal_dir is not None:
-            base = Path(journal_dir)
-            base.mkdir(parents=True, exist_ok=True)
-            self._journal_path = base / f"{spec.tenant}.journal.jsonl"
-            shed_path = base / f"{spec.tenant}.shed.jsonl"
+            # The surviving journal: a fresh kernel or a restored one
+            # verifies its dispatches against these records, then
+            # extends them.
+            self._journal = EventJournal.open(store.journal_log)
+            legacy = store.legacy_wal
+            if legacy is not None:
+                self._journal.import_legacy(legacy)
+                store.drop_legacy_wal()
 
         self._built_faults = spec.build_start_faults()
         capacity = spec.build_capacity()
@@ -459,26 +452,8 @@ class TenantShard:
         if resume and store is not None and store.has_state():
             self._resume_from_store()
         else:
-            self._journal = EventJournal(
-                self._journal_path,
-                flush_every=spec.flush_every,
-                fsync=spec.fsync,
-            )
             self._engine = self._build_engine([], capacity)
             self._engine.kernel.start()
-
-        if self._slo is not None:
-            # WAL fsync latency feeds the SLO histogram (wall clock —
-            # never in the replay or parity domain).
-            self._journal.sync_observer = self._slo.observe_fsync
-
-        if shed_path is not None:
-            # Rebuilt on resume: the sidecar is a human-readable mirror
-            # of self._shed, which the op log owns durably.
-            self._shed_fh = shed_path.open("w", encoding="utf-8")
-            for record in self._shed:
-                self._shed_fh.write(json.dumps(record.to_dict()) + "\n")
-            self._shed_fh.flush()
 
     # ------------------------------------------------------------------
     def _build_engine(
@@ -536,14 +511,26 @@ class TenantShard:
         if octx is not None:
             octx.metrics.counter(name).inc(n)
 
-    def _append_ops(self, docs: Sequence[Mapping[str, Any]]) -> None:
-        """Fsync op docs, timing the durability point when telemetry is on."""
+    def _durable(self, write, *args) -> None:
+        """Run one durability point, timing it into the SLO fsync
+        histogram when telemetry is on (wall clock — never in the replay
+        or parity domain)."""
         if self._slo is None:
-            self._store.append_ops(docs, sync=True)
+            write(*args)
             return
         t0 = perf_counter()
-        self._store.append_ops(docs, sync=True)
+        write(*args)
         self._slo.observe_fsync(perf_counter() - t0)
+
+    def _append_ops(self, docs: Sequence[Mapping[str, Any]]) -> None:
+        self._durable(self._store.append_ops, docs)
+
+    def _sync_journal(self) -> None:
+        """Make the journal durable (fsynced stores only) — done before
+        every snapshot write, so the journal on disk always reaches the
+        newest durable snapshot."""
+        if self._store.fsync:
+            self._durable(self._journal.flush)
 
     def _note_request(
         self,
@@ -579,22 +566,14 @@ class TenantShard:
                 self._slo.observe(record.time, "shed")
                 self._slo.observe(record.time, "shed." + record.reason)
         octx = _obs.current()
+        if octx is None:
+            return
         for record in records:
-            if self._shed_fh is not None:
-                self._shed_fh.write(json.dumps(record.to_dict()) + "\n")
-            if octx is not None:
-                octx.metrics.counter("service.shed").inc()
-                octx.metrics.counter(
-                    "service.shed." + record.reason
-                ).inc()
-                octx.emit(
-                    "service.shed",
-                    record.time,
-                    record.to_dict(),
-                    replay=False,
-                )
-        if self._shed_fh is not None:
-            self._shed_fh.flush()
+            octx.metrics.counter("service.shed").inc()
+            octx.metrics.counter("service.shed." + record.reason).inc()
+            octx.emit(
+                "service.shed", record.time, record.to_dict(), replay=False
+            )
 
     # ------------------------------------------------------------------
     # Message handling (synchronous, deterministic; may raise
@@ -775,10 +754,6 @@ class TenantShard:
         self._flush_pending()
         self._result = self._engine.run()
         self._closed = True
-        self._journal.flush()
-        if self._shed_fh is not None:
-            self._shed_fh.close()
-            self._shed_fh = None
         self._count("service.closed")
         return self.report()
 
@@ -794,7 +769,6 @@ class TenantShard:
             recoveries=self._recoveries,
             forced_crashes=self._forced_crashes,
             journal=self._journal,
-            journal_path=self._journal_path,
         )
 
     # ------------------------------------------------------------------
@@ -968,7 +942,7 @@ class TenantShard:
 
         The fresh engine gets exactly the accepted jobs the snapshot
         covers — its first ``rows`` table rows, which are the accepted
-        list's prefix in admission order; restoring re-verifies the WAL
+        list's prefix in admission order; restoring re-verifies the journal
         tail.  Ops recorded at or past the snapshot's dispatch count are
         the ones applied after it was taken — admissions and fault
         pushes the snapshot cannot contain — and are re-applied in
@@ -999,7 +973,6 @@ class TenantShard:
         self._count("service.recoveries")
         if self._slo is not None:
             self._slo.count("recoveries")
-            self._journal.sync_observer = self._slo.observe_fsync
         octx = _obs.current()
         if octx is not None:
             octx.emit(
@@ -1037,13 +1010,10 @@ class TenantShard:
         this returns, SIGKILL loses nothing."""
         if self._store is None:
             return
-        if not self._closed:
-            self._flush_pending()
-        self._journal.flush(sync=True)
-        if self._shed_fh is not None:
-            self._shed_fh.flush()
         if self._closed:
+            self._sync_journal()
             return
+        self._flush_pending()
         snap = self._engine.snapshot()
         # This snapshot is cut *after* every logged op took effect, so
         # same-dispatch-count ops are already inside it: anchor past the
@@ -1078,6 +1048,7 @@ class TenantShard:
             "slo": None if self._slo is None else self._slo.snapshot(),
             "rid_jids": dict(self._rid_jid),
         }
+        self._sync_journal()
         self._store.write_snapshot(payload, op_seq=self._store.op_seq)
         self._persist_anchor = base
         self._count("service.persisted")
@@ -1191,13 +1162,9 @@ class TenantShard:
 
         if snap is None:
             # Never persisted a snapshot: replay the whole op log onto a
-            # fresh world.  The WAL (if any survived) describes a run we
-            # are about to regenerate identically — start it over.
-            self._journal = EventJournal(
-                self._journal_path,
-                flush_every=self.spec.flush_every,
-                fsync=self.spec.fsync,
-            )
+            # fresh world.  The journal's surviving records describe the
+            # run about to be regenerated; the kernel verifies it against
+            # them.
             engine = self._build_engine([])
             engine.kernel.start()
             for _dc, kind, data in tail:
@@ -1206,24 +1173,12 @@ class TenantShard:
                 else:
                     engine.kernel.push_fault_event(*data)
         else:
-            if self._journal_path is not None and self._journal_path.exists():
-                self._journal = EventJournal.resume(
-                    self._journal_path,
-                    flush_every=self.spec.flush_every,
-                    fsync=self.spec.fsync,
-                )
-            else:
-                self._journal = EventJournal(
-                    self._journal_path,
-                    flush_every=self.spec.flush_every,
-                    fsync=self.spec.fsync,
-                )
             if len(self._journal) < snap.dispatch_count:
                 raise RecoveryError(
-                    f"tenant {self.tenant!r}: WAL holds "
+                    f"tenant {self.tenant!r}: the journal holds "
                     f"{len(self._journal)} records but the snapshot was "
                     f"cut at dispatch {snap.dispatch_count} — the journal "
-                    "tail was lost (power loss without fsync=True?)"
+                    "tail was lost"
                 )
             engine = self._build_engine(self._accepted[: snap.rows])
             engine.restore(snap)

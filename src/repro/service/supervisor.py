@@ -8,7 +8,7 @@ recover and backpressure independently.
 The restart ladder (docs/ROBUSTNESS.md §10): a
 :class:`~repro.errors.SimulatedCrash` (or any unhandled kernel
 exception) triggers ``shard.recover`` — restore the last periodic
-snapshot, replay the WAL tail, re-apply the op log — then the failed
+snapshot, replay the journal tail, re-apply the op log — then the failed
 message is retried after a capped exponential backoff
 (``base · factor^k``, clamped to ``cap``).  A
 :class:`~repro.kernel.recovery.CrashLoopDetector` cuts livelocks short
@@ -23,7 +23,7 @@ and every shard writes through a :class:`~repro.store.tenant.TenantStore`
 under ``<store_dir>/<tenant>/``.  :meth:`ScheduleService.cold_start`
 rebuilds a whole service from such a directory after a ``SIGKILL``, and
 :meth:`ScheduleService.drain` is the graceful half: refuse new work
-(``draining`` acks), flush every tenant's snapshot + op log + WAL, and
+(``draining`` acks), flush every tenant's snapshot + op log + journal, and
 leave a store a cold start recovers from with zero accepted-job loss.
 """
 
@@ -59,7 +59,7 @@ from repro.service.shard import (
     TenantSpec,
     tenant_spec_from_dict,
 )
-from repro.store.tenant import SPEC_FILE, TenantStore
+from repro.store.tenant import TenantStore, read_spec
 
 __all__ = ["RestartPolicy", "TenantSupervisor", "ScheduleService"]
 
@@ -220,22 +220,14 @@ class TenantSupervisor:
         return report
 
 
-def stored_tenant_specs(
-    store_dir: "str | Path", *, fsync: bool = True
-) -> List[TenantSpec]:
+def stored_tenant_specs(store_dir: "str | Path") -> List[TenantSpec]:
     """The spec of every tenant subdirectory of ``store_dir`` that holds
     one, in directory-name order (empty for a missing or fresh store)."""
     root = Path(store_dir)
     specs: List[TenantSpec] = []
     if root.is_dir():
         for sub in sorted(p for p in root.iterdir() if p.is_dir()):
-            if not (sub / SPEC_FILE).exists():
-                continue
-            store = TenantStore(sub, fsync=fsync)
-            try:
-                doc = store.load_spec()
-            finally:
-                store.close()
+            doc = read_spec(sub)
             if doc is not None:
                 specs.append(tenant_spec_from_dict(doc))
     return specs
@@ -249,7 +241,6 @@ class ScheduleService:
         specs: "list[TenantSpec] | tuple[TenantSpec, ...]",
         *,
         policy: Optional[RestartPolicy] = None,
-        journal_dir: "str | None" = None,
         queue_size: int = 1024,
         store_dir: "str | Path | None" = None,
         resume: bool = False,
@@ -263,7 +254,6 @@ class ScheduleService:
             raise ServiceError(f"duplicate tenant names in {names}")
         self._specs = tuple(specs)
         self._policy = policy or RestartPolicy()
-        self._journal_dir = journal_dir
         self._queue_size = int(queue_size)
         self._store_dir = None if store_dir is None else Path(store_dir)
         self._resume = bool(resume)
@@ -288,9 +278,9 @@ class ScheduleService:
     ) -> "ScheduleService":
         """A service rebuilt purely from a store directory: every tenant
         subdirectory with a valid spec is resumed from its snapshot +
-        op log + WAL.  ``await start()`` performs the actual recovery."""
+        op log + journal.  ``await start()`` performs the actual recovery."""
         root = Path(store_dir)
-        specs = stored_tenant_specs(root, fsync=store_fsync)
+        specs = stored_tenant_specs(root)
         if not specs:
             raise ServiceError(
                 f"no recoverable tenant state under {str(root)!r}"
@@ -329,7 +319,6 @@ class ScheduleService:
                 )
             shard = TenantShard(
                 spec,
-                journal_dir=self._journal_dir,
                 store=store,
                 resume=self._resume,
                 telemetry=self._telemetry,
@@ -437,7 +426,7 @@ class ScheduleService:
     async def drain(self) -> Dict[str, Dict[str, Any]]:
         """Graceful SIGTERM path: refuse new submits/faults, finish the
         queued backlog, then flush every tenant's snapshot + op log +
-        WAL to its store.  Returns per-tenant stats recorded *after* the
+        journal to its store.  Returns per-tenant stats recorded *after* the
         flush — the zero-loss baseline a cold start must reproduce."""
         if not self._started:
             raise ServiceError("service not started")

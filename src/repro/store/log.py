@@ -1,6 +1,7 @@
 """Segmented, checksummed, crash-truncatable append log.
 
-The op log under every tenant's durable state.  Records are opaque byte
+The record format of every tenant's durable state: its op log and its
+kernel journal are both segmented logs.  Records are opaque byte
 payloads framed as ``<u32 length, u32 crc32(payload)>`` and appended to
 bounded *segment files*::
 
@@ -32,7 +33,9 @@ Durability contract: ``append(..., sync=True)`` returns only after the
 frame is fsynced — a ``SIGKILL`` after the call loses nothing, a power
 loss after the call loses nothing (segment birth was dir-fsynced).
 ``sync=False`` hands the bytes to the OS (flush) without forcing them
-to media.
+to media; :meth:`SegmentedLog.sync` later forces everything appended so
+far.  Payloads are not cached in memory: the segments count their
+records and :meth:`SegmentedLog.entries` reads the files back.
 """
 
 from __future__ import annotations
@@ -82,8 +85,8 @@ class SegmentedLog:
         self._segment_bytes = int(segment_bytes)
         self._fsync = bool(fsync)
         self._segments: List[_Segment] = []
-        self._records: List[bytes] = []  # live records, seq order
-        self._base_seq = 0  # seq of _records[0]
+        self._count = 0  # live records (payloads stay on disk only)
+        self._base_seq = 0  # seq of the oldest live record
         self._handle: Optional[FileHandle] = None
         self._size = 0  # bytes in the open (last) segment
         self._closed = False
@@ -97,7 +100,7 @@ class SegmentedLog:
     @property
     def next_seq(self) -> int:
         """Sequence number the next :meth:`append` will return."""
-        return self._base_seq + len(self._records)
+        return self._base_seq + self._count
 
     @property
     def base_seq(self) -> int:
@@ -105,11 +108,18 @@ class SegmentedLog:
         return self._base_seq
 
     def entries(self) -> List[Tuple[int, bytes]]:
-        """All live records as ``(seq, payload)``, in order."""
-        return list(enumerate(self._records, start=self._base_seq))
+        """All live records as ``(seq, payload)``, in order, read back
+        from the segment files (the log keeps no payloads in memory)."""
+        out: List[Tuple[int, bytes]] = []
+        for seg in self._segments:
+            payloads, _end, _verdict = self._scan_frames(
+                self._dir.read_bytes(seg.name)
+            )
+            out.extend(enumerate(payloads, start=seg.first_seq))
+        return out
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     # -- recovery -------------------------------------------------------
     def _recover(self) -> None:
@@ -151,7 +161,7 @@ class SegmentedLog:
                 self._segments.append(
                     _Segment(name, first_seq, len(payloads))
                 )
-                self._records.extend(payloads)
+                self._count += len(payloads)
                 self._quarantine(names[idx + 1 :])
                 break
             if verdict == "torn":
@@ -164,7 +174,7 @@ class SegmentedLog:
                 self._dir.truncate(name, end)
                 data = data[:end]
             self._segments.append(_Segment(name, first_seq, len(payloads)))
-            self._records.extend(payloads)
+            self._count += len(payloads)
             expected_seq = first_seq + len(payloads)
 
         if not self._segments:
@@ -189,7 +199,7 @@ class SegmentedLog:
         while offset < n:
             if offset + _FRAME.size > n:
                 return payloads, offset, "torn"
-            length, crc = _FRAME.unpack(data[offset : offset + _FRAME.size])
+            length, crc = _FRAME.unpack_from(data, offset)
             end = offset + _FRAME.size + length
             if end > n:
                 return payloads, offset, "torn"
@@ -250,7 +260,7 @@ class SegmentedLog:
         self._handle.write(frame)
         self._size += len(frame)
         self._segments[-1].count += 1
-        self._records.append(payload)
+        self._count += 1
         do_sync = self._fsync if sync is None else bool(sync)
         if do_sync:
             self._handle.fsync()
@@ -279,7 +289,7 @@ class SegmentedLog:
             if head.first_seq + head.count > min_seq:
                 break
             self._dir.remove(head.name)
-            del self._records[: head.count]
+            self._count -= head.count
             self._base_seq = head.first_seq + head.count
             self._segments.pop(0)
             removed += 1
@@ -291,7 +301,7 @@ class SegmentedLog:
         """Restart an *empty* log at a given sequence (used when a
         catastrophically corrupt log was quarantined wholesale but a
         snapshot still anchors the op-sequence space)."""
-        if self._records or self._segments[-1].count:
+        if self._count:
             raise StorageError("rebase is only valid on an empty log")
         if self._handle is not None:
             self._handle.close()

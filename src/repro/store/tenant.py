@@ -1,27 +1,34 @@
-"""Per-tenant durable state: spec + op log + snapshots, one directory.
+"""Per-tenant durable state: spec, op log, kernel journal, snapshots.
 
-Layout under ``<store_dir>/<tenant>/``::
+Layout under ``<store_dir>/<tenant>/``, every file written through the
+tenant's :class:`~repro.store.directory.Directory`::
 
     spec.json        # the TenantSpec as checksummed JSON (written once)
     oplog/           # SegmentedLog of JSON op records (admits, pushes,
                      #   sheds, crash marks, dedup entries)
+    journal/         # SegmentedLog of JSON kernel journal records (one
+                     #   per dispatched event, the EventJournal's mirror)
     snaps/           # SnapshotStore of pickled shard state images
-    wal.jsonl        # the kernel's write-ahead EventJournal (plain file;
-                     #   the kernel owns its format and torn-tail rules)
-    shed.jsonl       # human-readable shed sidecar (rebuilt on resume)
 
 The shard (:mod:`repro.service.shard`) writes *op records first, state
 mutation second*: an admit/push/shed is fsynced into the op log before
 the kernel sees it, so the disk is always ahead of (or equal to) the
 process — ``SIGKILL`` at any instant loses at most acked-but-undecided
-buffering, never a decision.  Snapshots anchor the op sequence: a state
-image recorded at op sequence ``s`` supersedes every op with
+buffering, never a decision.  Journal records are handed to the OS as
+the kernel dispatches and synced once before each snapshot is written,
+so the durable journal always reaches at least as far as the durable
+snapshot (*journal ≥ snapshot*).  Snapshots anchor the op sequence: a
+state image recorded at op sequence ``s`` supersedes every op with
 ``seq < s``, and :meth:`write_snapshot` compacts the op log accordingly.
 
-This module is deliberately spec-schema agnostic: the tenant spec and
-the op payloads are opaque JSON documents; (de)serialising them to
-:class:`~repro.service.shard.TenantSpec` etc. lives with the service
-layer, keeping ``repro.store`` free of service imports.
+Stores written before the journal moved into ``journal/`` hold it as a
+JSONL file, ``wal.jsonl`` (:data:`LEGACY_WAL_FILE`); the shard imports
+it on cold start and then removes it (:meth:`TenantStore.drop_legacy_wal`).
+
+This module is deliberately spec-schema agnostic: the tenant spec, the
+op payloads and the journal payloads are opaque JSON documents;
+(de)serialising them lives with the service and simulation layers,
+keeping ``repro.store`` free of their imports.
 """
 
 from __future__ import annotations
@@ -37,15 +44,36 @@ from repro.store.directory import Directory, OsDirectory
 from repro.store.log import SegmentedLog
 from repro.store.snapshots import SnapshotStore
 
-__all__ = ["TenantStore"]
+__all__ = ["TenantStore", "read_spec"]
 
 SPEC_FILE = "spec.json"
-WAL_FILE = "wal.jsonl"
-SHED_FILE = "shed.jsonl"
+#: The kernel journal's file before it moved into ``journal/``.
+LEGACY_WAL_FILE = "wal.jsonl"
+
+
+def read_spec(directory: "Directory | str | Path") -> Optional[Dict[str, Any]]:
+    """The stored tenant spec doc (None if absent), read without opening
+    the tenant's logs or snapshots."""
+    if not hasattr(directory, "subdir"):
+        directory = OsDirectory(directory)  # type: ignore[arg-type]
+    if not directory.exists(SPEC_FILE):
+        return None
+    try:
+        doc = json.loads(directory.read_bytes(SPEC_FILE).decode())
+        spec_doc = doc["spec"]
+        body = json.dumps(spec_doc, sort_keys=True)
+        if (zlib.crc32(body.encode()) & 0xFFFFFFFF) != doc["crc"]:
+            raise ValueError("checksum mismatch")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StorageError(
+            "tenant spec file is corrupt; refusing to guess the "
+            f"tenant's world ({exc})"
+        ) from exc
+    return spec_doc
 
 
 class TenantStore:
-    """One tenant's crash-safe state: spec, op log, snapshot anchors."""
+    """One tenant's crash-safe state: spec, op log, journal, snapshots."""
 
     def __init__(
         self,
@@ -64,22 +92,40 @@ class TenantStore:
             segment_bytes=segment_bytes,
             fsync=fsync,
         )
+        self.journal_log = SegmentedLog(
+            self._dir.subdir("journal"),
+            segment_bytes=segment_bytes,
+            fsync=fsync,
+        )
         self.snapshots = SnapshotStore(
             self._dir.subdir("snaps"), keep=snapshot_keep, fsync=fsync
         )
 
-    # -- paths (None for in-memory directories) -------------------------
     @property
     def path(self) -> Optional[Path]:
+        """The tenant directory (None for in-memory directories)."""
         return self._dir.path
 
     @property
-    def wal_path(self) -> Optional[Path]:
-        return None if self.path is None else self.path / WAL_FILE
+    def fsync(self) -> bool:
+        """Whether durability points reach stable storage."""
+        return self._fsync
 
+    # -- legacy journal --------------------------------------------------
     @property
-    def shed_path(self) -> Optional[Path]:
-        return None if self.path is None else self.path / SHED_FILE
+    def legacy_wal(self) -> Optional[Path]:
+        """The pre-``journal/`` JSONL journal, if this store holds one."""
+        if self.path is None or not self._dir.exists(LEGACY_WAL_FILE):
+            return None
+        return self.path / LEGACY_WAL_FILE
+
+    def drop_legacy_wal(self) -> None:
+        """Remove the legacy journal once its records are in ``journal/``
+        (synced first, so a crash before the removal re-runs the import
+        and a crash after it finds everything in ``journal/``)."""
+        self.journal_log.sync()
+        self._dir.remove(LEGACY_WAL_FILE)
+        self._dir.fsync_dir()
 
     # -- tenant spec -----------------------------------------------------
     def ensure_spec(self, spec_doc: Dict[str, Any], normalize=None) -> None:
@@ -119,34 +165,19 @@ class TenantStore:
             self._dir.fsync_dir()
 
     def load_spec(self) -> Optional[Dict[str, Any]]:
-        if not self._dir.exists(SPEC_FILE):
-            return None
-        try:
-            doc = json.loads(self._dir.read_bytes(SPEC_FILE).decode())
-            spec_doc = doc["spec"]
-            body = json.dumps(spec_doc, sort_keys=True)
-            if (zlib.crc32(body.encode()) & 0xFFFFFFFF) != doc["crc"]:
-                raise ValueError("checksum mismatch")
-        except (ValueError, KeyError, TypeError) as exc:
-            raise StorageError(
-                "tenant spec file is corrupt; refusing to guess the "
-                f"tenant's world ({exc})"
-            ) from exc
-        return spec_doc
+        return read_spec(self._dir)
 
     # -- op log ----------------------------------------------------------
-    def append_ops(
-        self, docs: "List[Dict[str, Any]]", *, sync: bool = True
-    ) -> int:
+    def append_ops(self, docs: "List[Dict[str, Any]]") -> int:
         """Append op records (JSON docs); returns the next sequence
-        after the batch.  With ``sync`` the whole batch is fsynced
+        after the batch.  On an fsynced store the whole batch is durable
         before returning (one fsync, after the last frame)."""
-        for i, doc in enumerate(docs):
-            last = i == len(docs) - 1
+        for doc in docs:
             self.oplog.append(
-                json.dumps(doc, sort_keys=True).encode(),
-                sync=sync and last,
+                json.dumps(doc, sort_keys=True).encode(), sync=False
             )
+        if self._fsync and docs:
+            self.oplog.sync()
         return self.oplog.next_seq
 
     @property
@@ -190,3 +221,4 @@ class TenantStore:
 
     def close(self) -> None:
         self.oplog.close()
+        self.journal_log.close()

@@ -20,8 +20,6 @@ def _spec(tenant="t0", **kw):
         capacity=CapacitySpec("constant", {"rate": 1.0}),
         queue_budget=4,
         snapshot_every=4,
-        flush_every=2,
-        fsync=False,
     )
     base.update(kw)
     return TenantSpec(**base)
@@ -86,6 +84,28 @@ class TestStoreCorrelation:
         assert result["outcome"] == "shed"
         sheds = [s for s in result["stages"] if s["stage"] == "admission"]
         assert sheds and sheds[0]["op"] == "shed"
+
+    def test_compacted_shed_still_reports_reason(self, tmp_path):
+        # Small segments: the persist compacts every shed op record away,
+        # so the reason must come from the snapshot's shed list.
+        shard = TenantShard(
+            _spec(), store=TenantStore(tmp_path / "t0", segment_bytes=128)
+        )
+        for i in range(8):
+            shard.handle(
+                Submit("t0", _job(i, release=1.0 + 0.1 * i), rid=f"r{i}")
+            )
+        shard.handle(Submit("t0", _job(8, release=5.0), rid="r8"))
+        shard.persist_now()
+        reason = {rec.jid: rec.reason for rec in shard.report().shed}[7]
+        store = TenantStore(tmp_path / "t0")
+        assert all(doc.get("rid") != "r7" for _seq, doc in store.ops())
+        store.close()
+
+        result = correlate_request("r7", store_dir=tmp_path)
+        assert result["outcome"] == "shed" and result["jid"] == 7
+        sheds = [s for s in result["stages"] if s["stage"] == "admission"]
+        assert [(s["op"], s["reason"]) for s in sheds] == [("shed", reason)]
 
     def test_fault_request_found(self, tmp_path):
         shard = _populate(tmp_path)

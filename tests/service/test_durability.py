@@ -33,6 +33,7 @@ from repro.service import (
     tenant_spec_to_dict,
 )
 from repro.sim.job import Job
+from repro.store.directory import MemoryDirectory
 from repro.store.tenant import TenantStore
 
 
@@ -44,8 +45,6 @@ def _spec(tenant="t0", **kw):
         capacity=CapacitySpec("constant", {"rate": 1.0}),
         queue_budget=64,
         snapshot_every=4,
-        flush_every=2,
-        fsync=True,
     )
     base.update(kw)
     return TenantSpec(**base)
@@ -97,18 +96,33 @@ class TestSpecRoundtrip:
 
     def test_pre_upgrade_store_still_resumes(self, tmp_path):
         """A tenant directory written before a defaulted spec field existed
-        (here: ``flush_every``) must keep resuming — the shard normalizes
+        (here: ``fault_seed``) must keep resuming — the shard normalizes
         the stored doc through the spec round-trip before comparing."""
-        old_doc = tenant_spec_to_dict(_spec(flush_every=8))
-        del old_doc["flush_every"]  # what a pre-upgrade store holds on disk
+        old_doc = tenant_spec_to_dict(_spec())
+        del old_doc["fault_seed"]  # what a pre-upgrade store holds on disk
         store = TenantStore(tmp_path / "t0")
         store.ensure_spec(old_doc)
         store.close()
 
         revived = TenantShard(
-            _spec(flush_every=8), store=TenantStore(tmp_path / "t0"), resume=True
+            _spec(), store=TenantStore(tmp_path / "t0"), resume=True
         )
-        assert revived.spec.flush_every == 8
+        assert revived.spec.fault_seed == 0
+
+    def test_retired_journal_knobs_are_dropped(self, tmp_path):
+        """Stores written while specs carried the journal file's
+        ``flush_every``/``fsync`` knobs keep resuming whatever they hold;
+        neither is written back."""
+        old_doc = dict(tenant_spec_to_dict(_spec()), flush_every=8, fsync=True)
+        store = TenantStore(tmp_path / "t0")
+        store.ensure_spec(old_doc)
+        store.close()
+
+        revived = TenantShard(
+            _spec(), store=TenantStore(tmp_path / "t0"), resume=True
+        )
+        doc = tenant_spec_to_dict(revived.spec)
+        assert "flush_every" not in doc and "fsync" not in doc
 
     @pytest.mark.parametrize("legacy", ["scalar", "batch", "auto"])
     def test_retired_protocol_field_is_dropped(self, tmp_path, legacy):
@@ -276,6 +290,30 @@ class TestColdStartParity:
         assert len(rebuilt) > 10
         assert pickle.dumps(persisted_accepted(store2)) == pickle.dumps(rebuilt)
         store2.close()
+
+
+class TestPowerLoss:
+    """A whole shard on an in-memory directory, where a power loss
+    (``crash()``) keeps only what was fsynced: the journal is synced
+    before each snapshot, so the surviving journal always reaches the
+    surviving snapshot."""
+
+    def test_memory_store_power_loss_cold_starts_with_parity(self):
+        mem = MemoryDirectory()
+        shard = TenantShard(_spec(), store=TenantStore(mem))
+        _drive(shard, n=12)
+        before = shard.stats()
+        mem.crash()  # power loss: unsynced bytes and entries vanish
+
+        revived = TenantShard(_spec(), store=TenantStore(mem), resume=True)
+        assert revived.kernel.last_snapshot.dispatch_count > 0
+        after = revived.stats()
+        for key in ("submitted", "accepted", "shed", "accepted_crc"):
+            assert after[key] == before[key], key
+        report = revived.close()
+        check = replay_tenant(report)
+        assert check.ok, check.failures
+        assert report.lost_jids == ()
 
 
 class TestIdempotency:

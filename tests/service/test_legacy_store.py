@@ -3,7 +3,8 @@
 ``tests/fixtures/schema2_store`` was written by the last release whose
 :class:`~repro.sim.journal.EngineSnapshot` pickled jid-keyed dicts
 (see its README).  A cold start must read that image through the
-schema-2 reader, re-apply the op-log tail past it, keep deciding new
+schema-2 reader, import the JSONL kernel journal (``wal.jsonl``) into
+``journal/``, re-apply the op-log tail past the image, keep deciding new
 submits, and close into a report that replays bit-identically.
 """
 
@@ -23,7 +24,7 @@ from repro.service import (
     replay_tenant,
 )
 from repro.sim.job import Job
-from repro.sim.journal import SNAPSHOT_SCHEMA
+from repro.sim.journal import SNAPSHOT_SCHEMA, EventJournal
 from repro.store.tenant import TenantStore
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "schema2_store"
@@ -38,8 +39,6 @@ def _spec():
         capacity=CapacitySpec("constant", {"rate": 1.0}),
         queue_budget=3,
         snapshot_every=4,
-        flush_every=2,
-        fsync=True,
     )
 
 
@@ -109,4 +108,22 @@ class TestSchema2Store:
         again = _cold_start(store_dir)
         assert again.kernel.last_snapshot.schema == SNAPSHOT_SCHEMA
         report = again.close()
+        assert replay_tenant(report).ok
+
+    def test_legacy_wal_imported_into_journal(self, store_dir):
+        wal = EventJournal.load(store_dir / "wal.jsonl").records
+        # An earlier import was cut short by a crash after two records.
+        store = TenantStore(store_dir)
+        partial = EventJournal.open(store.journal_log)
+        for record in wal[:2]:
+            partial.append(record)
+        store.close()
+
+        store = TenantStore(store_dir)
+        shard = TenantShard(_spec(), store=store, resume=True)
+        assert not (store_dir / "wal.jsonl").exists()
+        assert (store_dir / "shed.jsonl").exists()  # ignored, left as found
+        assert EventJournal.open(store.journal_log).records == wal
+        report = shard.close()
+        assert report.journal.records[: len(wal)] == wal
         assert replay_tenant(report).ok

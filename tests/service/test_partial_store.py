@@ -41,8 +41,6 @@ def _spec(tenant, **kw):
         capacity=CapacitySpec("constant", {"rate": 1.0}),
         queue_budget=8,
         snapshot_every=4,
-        flush_every=2,
-        fsync=True,
     )
     base.update(kw)
     return TenantSpec(**base)

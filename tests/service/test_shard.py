@@ -19,7 +19,9 @@ from repro.service import (
 )
 from repro.sim.engine import simulate
 from repro.sim.job import Job
-from repro.sim.journal import results_bit_identical
+from repro.sim.journal import EventJournal, results_bit_identical
+from repro.store.directory import MemoryDirectory
+from repro.store.tenant import TenantStore
 
 
 def _spec(**kw):
@@ -30,7 +32,6 @@ def _spec(**kw):
         capacity=CapacitySpec("constant", {"rate": 1.0}),
         queue_budget=64,
         snapshot_every=4,
-        flush_every=2,
     )
     base.update(kw)
     return TenantSpec(**base)
@@ -237,9 +238,9 @@ class TestShedBookkeeping:
         check = replay_tenant(report)
         assert check.ok, check.failures
 
-    def test_journal_and_shed_log_written(self, tmp_path):
-        spec = _spec()
-        shard = TenantShard(_spec(queue_budget=1), journal_dir=tmp_path)
+    def test_journal_and_shed_log_written(self):
+        store = TenantStore(MemoryDirectory())
+        shard = TenantShard(_spec(queue_budget=1), store=store)
         for i in range(3):
             shard.handle(
                 Submit(
@@ -254,8 +255,14 @@ class TestShedBookkeeping:
                 )
             )
         report = shard.close()
-        assert (tmp_path / "t0.journal.jsonl").exists()
-        shed_lines = (
-            (tmp_path / "t0.shed.jsonl").read_text().strip().splitlines()
+        # Every journal record went into the store's journal log, every
+        # shed decision into its op log.
+        assert EventJournal.open(store.journal_log).records == (
+            report.journal.records
         )
-        assert len(shed_lines) == len(report.shed) == 2
+        assert len(report.journal) > 0
+        shed_ops = [doc for _seq, doc in store.ops() if doc["op"] == "shed"]
+        assert [doc["rec"]["reason"] for doc in shed_ops] == [
+            rec.reason for rec in report.shed
+        ]
+        assert len(report.shed) == 2

@@ -7,8 +7,9 @@ forced kernel crashes.  The assertions are the service's acceptance
 criteria verbatim: zero accepted-then-lost jobs, restarts within the
 backoff cap, and every tenant's surviving journal replaying
 bit-identically through the closed-horizon engine — shed accounting
-included.  Per-tenant journals and shed logs are written under
-``test-results/soak/`` so a CI failure ships the evidence as artifacts.
+included.  Per-tenant durable stores (spec, op log, journal,
+snapshots) are written under ``test-results/soak/`` so a CI failure
+ships the evidence as artifacts.
 """
 
 from __future__ import annotations
@@ -22,6 +23,28 @@ from repro.experiments.soak import SoakConfig, run_soak
 from repro.service import RestartPolicy
 
 ARTIFACT_DIR = Path(__file__).resolve().parents[2] / "test-results" / "soak"
+
+
+def _fresh(store_dir: Path) -> str:
+    shutil.rmtree(store_dir, ignore_errors=True)
+    return str(store_dir)
+
+
+def _assert_cold_starts(store_dir: Path, report) -> None:
+    """Every tenant's store directory exists, cold starts, and closes
+    with replay parity."""
+    from repro.service import TenantShard, replay_tenant
+    from repro.store.tenant import TenantStore
+
+    for tenant, outcome in sorted(report.outcomes.items()):
+        assert (store_dir / tenant).is_dir(), tenant
+        store = TenantStore(store_dir / tenant)
+        try:
+            shard = TenantShard(outcome.report.spec, store=store, resume=True)
+            check = replay_tenant(shard.close())
+        finally:
+            store.close()
+        assert check.ok, f"{tenant}: cold start lost parity: {check.failures}"
 
 
 @pytest.mark.soak_smoke
@@ -38,9 +61,8 @@ class TestSoakSmoke:
             revocation_rate=0.02,
             sensor_noise=0.1,
             snapshot_every=8,
-            flush_every=4,
             policy=RestartPolicy(backoff_base=0.001, backoff_cap=0.004),
-            journal_dir=str(ARTIFACT_DIR),
+            store_dir=_fresh(ARTIFACT_DIR),
         )
         report = run_soak(config)
 
@@ -60,9 +82,9 @@ class TestSoakSmoke:
             assert outcome.check.ok, (
                 f"{tenant}: replay parity failed: {outcome.check.failures}"
             )
-            assert (ARTIFACT_DIR / f"{tenant}.journal.jsonl").exists()
         assert report.ok
         assert report.failures() == []
+        _assert_cold_starts(ARTIFACT_DIR, report)
 
     def test_soak_exercises_shedding_parity(self):
         """A starved budget forces queue_budget sheds mid-soak; the shed
@@ -75,9 +97,8 @@ class TestSoakSmoke:
             forced_crashes=3,
             queue_budget=3,
             snapshot_every=8,
-            flush_every=2,
             policy=RestartPolicy(backoff_base=0.001, backoff_cap=0.004),
-            journal_dir=str(ARTIFACT_DIR / "starved"),
+            store_dir=_fresh(ARTIFACT_DIR / "starved"),
         )
         report = run_soak(config)
         assert report.shed > 0, "the starved soak never shed — not a test"
@@ -159,7 +180,7 @@ class TestKill9Smoke:
 
     Runs as its own CI step (``-m kill_soak_smoke``); the store
     directory lands under ``test-results/kill9/`` so a failure ships
-    the WAL, op log and snapshots as artifacts.  Each run starts from an
+    the journal, op log and snapshots as artifacts.  Each run starts from an
     empty store (cold start from stores written by older versions is
     covered deterministically by ``test_legacy_store.py``)."""
 
@@ -177,7 +198,6 @@ class TestKill9Smoke:
             forced_crashes=2,
             ingress_faults_per_tenant=2,
             snapshot_every=8,
-            flush_every=4,
             store_dir=str(store_dir),
         )
         report = run_kill9(config)

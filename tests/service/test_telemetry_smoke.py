@@ -37,7 +37,6 @@ def _specs_doc():
                 "capacity": {"kind": "constant", "params": {"rate": 1.0}},
                 "queue_budget": 8,
                 "snapshot_every": 4,
-                "flush_every": 2,
             }
             for tenant in ("t0", "t1")
         ]

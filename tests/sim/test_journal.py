@@ -10,12 +10,22 @@ from repro.errors import RecoveryError
 from repro.sim import EventJournal, Job, JournalRecord
 from repro.sim.events import EventKind
 from repro.sim.journal import describe_payload
+from repro.store.directory import MemoryDirectory
+from repro.store.log import SegmentedLog
 
 
 def _record(i: int, **kw) -> JournalRecord:
     base = dict(index=i, time=float(i), kind=2, key=f"jid:{i}", version=0)
     base.update(kw)
     return JournalRecord(**base)
+
+
+def _write_legacy(path, n: int):
+    """A legacy JSONL journal file holding records ``0..n-1``."""
+    lines = [json.dumps({"kind": "event_journal", "schema": 1})]
+    lines += [json.dumps(_record(i).to_dict()) for i in range(n)]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestDescribePayload:
@@ -65,20 +75,12 @@ class TestEventJournal:
             journal.append(_record(2))
 
     def test_file_roundtrip(self, tmp_path):
-        path = tmp_path / "run.journal"
-        journal = EventJournal(path)
-        for i in range(4):
-            journal.append(_record(i))
-        journal.close()
+        path = _write_legacy(tmp_path / "run.journal", 4)
         loaded = EventJournal.load(path)
-        assert loaded.records == journal.records
+        assert loaded.records == tuple(_record(i) for i in range(4))
 
     def test_torn_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "run.journal"
-        journal = EventJournal(path)
-        for i in range(4):
-            journal.append(_record(i))
-        journal.close()
+        path = _write_legacy(tmp_path / "run.journal", 4)
         # Simulate a crash mid-append: truncate the last line.
         text = path.read_text()
         path.write_text(text[: text.rindex('{"index": 3') + 10])
@@ -86,11 +88,7 @@ class TestEventJournal:
         assert len(loaded) == 3
 
     def test_corrupt_middle_line_raises(self, tmp_path):
-        path = tmp_path / "run.journal"
-        journal = EventJournal(path)
-        for i in range(4):
-            journal.append(_record(i))
-        journal.close()
+        path = _write_legacy(tmp_path / "run.journal", 4)
         lines = path.read_text().splitlines()
         lines[2] = '{"index": 1, "time": BROKEN'
         path.write_text("\n".join(lines) + "\n")
@@ -119,168 +117,135 @@ class TestEventJournal:
 
 
 class TestFlushBatching:
-    def test_flush_every_validated(self):
-        with pytest.raises(RecoveryError, match="flush_every"):
-            EventJournal(flush_every=0)
-
     def test_flush_is_noop_in_memory(self):
         journal = EventJournal()
         journal.append(_record(0))
-        journal.flush()  # must not raise without a file
-        journal.flush(sync=True)
+        journal.flush()  # must not raise without a log
 
-    def test_batched_appends_buffered_until_boundary(self, tmp_path):
-        """With flush_every=N, a hard crash between boundaries loses at
-        most the last N-1 records — and none once flush() is called."""
-        path = tmp_path / "batched.journal"
-        journal = EventJournal(path, flush_every=4)
-        for i in range(6):  # one full batch (4) + 2 buffered
+    def test_every_append_reaches_the_os(self):
+        # SIGKILL keeps what was handed to the OS: no flush needed.
+        mem = MemoryDirectory()
+        journal = EventJournal.open(SegmentedLog(mem, fsync=True))
+        for i in range(5):
             journal.append(_record(i))
-        # Read the file *without* closing: what a post-crash reader sees.
-        on_disk = EventJournal.load(path)
-        assert len(on_disk) == 4  # records 4,5 still in the buffer
-        journal.flush()
-        assert len(EventJournal.load(path)) == 6
-        journal.close()
+        mem.sync_all()
+        mem.crash()
+        assert EventJournal.open(SegmentedLog(mem)).records == journal.records
 
-    def test_torn_tail_at_flush_boundary(self, tmp_path):
-        """Crash signature under batching: the file ends exactly at a
-        flush boundary plus a torn partial line; load() must keep every
-        whole record and drop only the tear."""
-        path = tmp_path / "torn.journal"
-        journal = EventJournal(path, flush_every=3)
-        for i in range(6):  # flushes after records 2 and 5
-            journal.append(_record(i))
-        journal.append(_record(6))  # buffered, then torn below
-        journal.flush()
-        journal.close()
-        text = path.read_text()
-        # Tear mid-way through the last record's line.
-        path.write_text(text[: text.rindex('{"index": 6') + 10])
-        loaded = EventJournal.load(path)
-        assert len(loaded) == 6
-        assert loaded.records == journal.records[:6]
-
-    def test_explicit_sync_flush(self, tmp_path):
-        path = tmp_path / "sync.journal"
-        journal = EventJournal(path, flush_every=100, fsync=True)
+    def test_explicit_sync_flush(self):
+        # Power loss keeps only what flush() forced to stable storage.
+        mem = MemoryDirectory()
+        journal = EventJournal.open(SegmentedLog(mem, fsync=True))
         for i in range(3):
             journal.append(_record(i))
-        journal.flush()  # constructor fsync flag applies
-        assert len(EventJournal.load(path)) == 3
-        journal.append(_record(3))
-        journal.flush(sync=False)  # suppress the fsync, still flushes
-        assert len(EventJournal.load(path)) == 4
-        journal.close()
+        journal.flush()
+        journal.append(_record(3))  # handed to the OS, never synced
+        mem.crash()
+        recovered = EventJournal.open(SegmentedLog(mem))
+        assert recovered.records == journal.records[:3]
 
 
 class TestDirFsync:
-    """Regression: a freshly created journal *file entry* is only durable
-    once the parent directory is fsynced — exactly once, at the first
-    durability point."""
+    """Regression: a journal's *file entry* is only durable once its
+    directory is fsynced.  A log-backed journal's segment is born with
+    that dir-fsync, once; flushing syncs the file, never the directory
+    again."""
 
-    def test_eager_dir_sync_with_fsync_true(self, tmp_path):
-        journal = EventJournal(tmp_path / "j.jsonl", fsync=True)
-        assert journal._dir_synced is True
-        journal.close()
+    def test_eager_dir_sync_with_fsync_true(self):
+        mem = MemoryDirectory()
+        EventJournal.open(SegmentedLog(mem, fsync=True))
+        mem.crash()  # power loss before the first append
+        assert len(mem.listdir()) == 1  # the segment entry survived
+        assert len(EventJournal.open(SegmentedLog(mem))) == 0
 
-    def test_deferred_dir_sync_with_fsync_false(self, tmp_path):
-        journal = EventJournal(tmp_path / "j.jsonl", fsync=False)
-        assert journal._dir_synced is False
-        journal.append(_record(0))
-        journal.flush()  # plain flush: still no durability point
-        assert journal._dir_synced is False
-        journal.flush(sync=True)  # first explicit durability point
-        assert journal._dir_synced is True
-        journal.close()
+    def test_in_memory_journal_never_needs_it(self, monkeypatch):
+        import os
 
-    def test_in_memory_journal_never_needs_it(self):
-        journal = EventJournal()
-        assert journal._dir_synced is True
-        journal.append(_record(0))
-        journal.flush(sync=True)  # no file: a no-op, not an error
-
-    def test_sync_dir_is_one_time(self, tmp_path, monkeypatch):
-        import repro.sim.journal as journal_mod
-
-        journal = EventJournal(tmp_path / "j.jsonl", fsync=True)
-        calls = []
         monkeypatch.setattr(
-            journal_mod.os,
-            "open",
-            lambda *a, **k: calls.append(a) or (_ for _ in ()).throw(
-                AssertionError("dir fsync repeated")
-            ),
+            os, "fsync", lambda fd: pytest.fail("in-memory journal fsynced")
         )
+        journal = EventJournal()
         journal.append(_record(0))
-        journal.flush(sync=True)  # must not re-open the directory
+        journal.flush()  # no log: nothing to sync
+
+    def test_sync_dir_is_one_time(self, monkeypatch):
+        mem = MemoryDirectory()
+        journal = EventJournal.open(SegmentedLog(mem, fsync=True))
+        calls = []
+        monkeypatch.setattr(mem, "fsync_dir", lambda: calls.append(1))
+        for i in range(3):
+            journal.append(_record(i))
+            journal.flush()  # must not re-sync the directory
         assert calls == []
 
 
 class TestResume:
-    def _written(self, tmp_path, n=3):
-        path = tmp_path / "j.jsonl"
-        journal = EventJournal(path, fsync=True)
-        for i in range(n):
-            journal.append(_record(i))
-        journal.close()
-        return path
+    """Reopening a log-backed journal (:meth:`EventJournal.open`) and
+    importing a legacy JSONL journal into it
+    (:meth:`EventJournal.import_legacy`)."""
 
-    def test_clean_resume_appends_in_place(self, tmp_path):
-        path = self._written(tmp_path, n=3)
-        journal = EventJournal.resume(path, fsync=True)
-        assert len(journal) == 3
-        journal.append(_record(3))
-        journal.close()
-        loaded = EventJournal.load(path)
-        assert [r.index for r in loaded.records] == [0, 1, 2, 3]
+    def test_clean_resume_appends_in_place(self):
+        mem = MemoryDirectory()
+        journal = EventJournal.open(SegmentedLog(mem))
+        for i in range(3):
+            journal.append(_record(i))
+        resumed = EventJournal.open(SegmentedLog(mem))
+        assert len(resumed) == 3
+        resumed.append(_record(3))
+        reopened = EventJournal.open(SegmentedLog(mem))
+        assert [r.index for r in reopened.records] == [0, 1, 2, 3]
 
     def test_torn_final_line_truncated_then_extended(self, tmp_path):
-        path = self._written(tmp_path, n=3)
+        path = _write_legacy(tmp_path / "wal.jsonl", 3)
         with path.open("ab") as fh:
             fh.write(b'{"index": 3, "time":')  # torn mid-append
-        journal = EventJournal.resume(path)
-        assert len(journal) == 2 + 1  # the three complete records
+        mem = MemoryDirectory()
+        journal = EventJournal.open(SegmentedLog(mem))
+        journal.import_legacy(path)
+        assert len(journal) == 3  # the three complete records
         journal.append(_record(3))
-        journal.close()
-        # The tear is gone from disk; the file parses cleanly end to end.
-        loaded = EventJournal.load(path)
-        assert [r.index for r in loaded.records] == [0, 1, 2, 3]
+        reopened = EventJournal.open(SegmentedLog(mem))
+        assert [r.index for r in reopened.records] == [0, 1, 2, 3]
 
-    def test_record_missing_newline_truncated(self, tmp_path):
-        # A parseable record without its newline would be corrupted by
-        # the next append ("{...}{...}" on one line): resume truncates it
-        # and the kernel regenerates it deterministically.
-        path = self._written(tmp_path, n=3)
-        data = path.read_bytes()
-        path.write_bytes(data[:-1])  # strip the final newline only
-        journal = EventJournal.resume(path)
-        assert len(journal) == 2
-        journal.append(_record(2))
-        journal.close()
-        loaded = EventJournal.load(path)
-        assert [r.index for r in loaded.records] == [0, 1, 2]
+    def test_interrupted_import_continues(self, tmp_path):
+        path = _write_legacy(tmp_path / "wal.jsonl", 5)
+        mem = MemoryDirectory()
+        partial = EventJournal.open(SegmentedLog(mem))
+        for i in range(2):  # a crash cut the first import short
+            partial.append(_record(i))
+        journal = EventJournal.open(SegmentedLog(mem))
+        journal.import_legacy(path)
+        assert journal.records == tuple(_record(i) for i in range(5))
+        journal.import_legacy(path)  # a completed import is a no-op
+        assert len(EventJournal.open(SegmentedLog(mem))) == 5
+
+    def test_import_refuses_a_diverging_journal(self, tmp_path):
+        path = _write_legacy(tmp_path / "wal.jsonl", 3)
+        journal = EventJournal()
+        journal.append(_record(0, key="jid:99"))
+        with pytest.raises(RecoveryError, match="do not extend"):
+            journal.import_legacy(path)
 
     def test_mid_file_corruption_refuses(self, tmp_path):
-        path = self._written(tmp_path, n=3)
+        path = _write_legacy(tmp_path / "wal.jsonl", 3)
         lines = path.read_text().splitlines()
         lines[2] = '{"index": 1, BROKEN'
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(RecoveryError, match="mid-file"):
-            EventJournal.resume(path)
+        with pytest.raises(RecoveryError, match="corrupt record"):
+            EventJournal().import_legacy(path)
 
     def test_corrupt_header_refuses(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text("{broken\n")
         with pytest.raises(RecoveryError, match="header"):
-            EventJournal.resume(path)
+            EventJournal().import_legacy(path)
 
     def test_foreign_file_refuses(self, tmp_path):
         path = tmp_path / "other.jsonl"
         path.write_text(json.dumps({"kind": "mc_checkpoint", "schema": 1}) + "\n")
         with pytest.raises(RecoveryError, match="not an event journal"):
-            EventJournal.resume(path)
+            EventJournal().import_legacy(path)
 
     def test_missing_file_refuses(self, tmp_path):
         with pytest.raises(RecoveryError, match="cannot read"):
-            EventJournal.resume(tmp_path / "absent.jsonl")
+            EventJournal().import_legacy(tmp_path / "absent.jsonl")

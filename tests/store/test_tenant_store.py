@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.store.directory import MemoryDirectory
-from repro.store.tenant import SHED_FILE, SPEC_FILE, WAL_FILE, TenantStore
+from repro.store.tenant import SPEC_FILE, TenantStore
 
 
 SPEC = {"tenant": "t0", "seed": 11, "workload": {"lam": 2.0}}
@@ -39,11 +39,18 @@ class TestSpec:
 
     def test_paths(self, tmp_path):
         store = TenantStore(tmp_path / "t0")
-        assert store.wal_path == tmp_path / "t0" / WAL_FILE
-        assert store.shed_path == tmp_path / "t0" / SHED_FILE
-        mem_store = TenantStore(MemoryDirectory())
-        assert mem_store.wal_path is None
-        assert mem_store.shed_path is None
+        assert store.path == tmp_path / "t0"
+        store.ensure_spec(SPEC)
+        store.append_ops([{"op": "admit", "jid": 1}])
+        store.journal_log.append(b'{"index": 0}')
+        store.write_snapshot({"n": 1}, op_seq=store.op_seq)
+        store.close()
+        # The whole durable layout: nothing lives beside these four.
+        assert sorted(p.name for p in (tmp_path / "t0").iterdir()) == [
+            "journal", "oplog", "snaps", SPEC_FILE,
+        ]
+        assert store.legacy_wal is None
+        assert TenantStore(MemoryDirectory()).path is None
 
 
 class TestOpsAndSnapshots:
@@ -114,8 +121,40 @@ class TestOpsAndSnapshots:
         store = TenantStore(mem, fsync=True)
         store.ensure_spec(SPEC)
         for i in range(4):
-            store.append_ops([{"i": i}], sync=True)
+            store.append_ops([{"i": i}])
         mem.crash()
         recovered = TenantStore(mem)
         assert recovered.load_spec() == SPEC
         assert [doc["i"] for _s, doc in recovered.ops()] == [0, 1, 2, 3]
+
+
+class TestFsyncFollowsStoreFlag:
+    """``append_ops`` obeys the store's own ``fsync`` flag: no fsync at
+    all on an unsynced store, one per batch (after its last frame) on a
+    synced one."""
+
+    def _count_fsyncs(self, monkeypatch, store, batches):
+        import repro.store.directory as directory_mod
+
+        calls = []
+        real = directory_mod.os.fsync
+        monkeypatch.setattr(
+            directory_mod.os, "fsync", lambda fd: calls.append(fd) or real(fd)
+        )
+        for batch in batches:
+            store.append_ops(batch)
+        monkeypatch.undo()
+        return len(calls)
+
+    BATCHES = [[{"op": "admit", "jid": i}, {"op": "shed", "jid": -i}]
+               for i in range(6)]
+
+    def test_unsynced_store_never_fsyncs_ops(self, tmp_path, monkeypatch):
+        store = TenantStore(tmp_path / "t0", fsync=False)
+        assert self._count_fsyncs(monkeypatch, store, self.BATCHES) == 0
+        assert store.op_seq == 12
+
+    def test_synced_store_fsyncs_once_per_batch(self, tmp_path, monkeypatch):
+        store = TenantStore(tmp_path / "t0", fsync=True)
+        assert self._count_fsyncs(monkeypatch, store, self.BATCHES) == 6
+        assert store.op_seq == 12
