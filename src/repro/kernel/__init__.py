@@ -2,8 +2,8 @@
 
 One event loop for every engine in the repository: the single-processor
 :class:`~repro.sim.engine.SimulationEngine` and the multiprocessor
-:class:`~repro.multi.engine.MultiprocessorEngine` are both thin façades
-over :class:`SchedulingKernel`, which owns the clock, the event heap and
+:class:`~repro.multi.engine.MultiprocessorEngine` are both subclasses of
+:class:`SchedulingKernel`, which owns the clock, the event heap and
 its lazy-deletion hygiene, per-processor segment accounting (with the
 prefix-sum capacity fast path), completion re-prediction, alarm and timer
 plumbing, execution-fault dispatch, snapshot/restore with the write-ahead

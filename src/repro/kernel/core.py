@@ -19,6 +19,12 @@ lives here once, parameterised over a *processor set*:
   kernel diffs against the current one (free preemption and migration,
   no intra-job parallelism).
 
+The two public engines (:class:`~repro.sim.engine.SimulationEngine` and
+:class:`~repro.multi.engine.MultiprocessorEngine`) are subclasses that fix
+the protocol and the scheduler-context class and add a ``run()`` that
+builds their result object; faults and watchdog monitors observe the
+engine itself.
+
 Columnar hot path
 -----------------
 Per-job execution state lives in a struct-of-arrays
@@ -29,7 +35,15 @@ event seeding, the wind-down failure sweep, laxity recomputation — are
 vectorized over the columns; :class:`Job` objects remain thin views that
 flow through scheduler handlers and event payloads unchanged.
 
-The run loop dispatches in *same-timestamp batches*: when several events
+One loop body, :meth:`SchedulingKernel._run`, serves both drives: the
+closed-horizon :meth:`~SchedulingKernel.run_loop` (unbounded) and the
+service's incremental :meth:`~SchedulingKernel.run_until` (exclusive
+bound).  Journal write/verify, observability, the watchdog, the snapshot
+cadence and event-indexed crash plans are each one ``is not None`` test
+on a local hoisted before the loop, so an uninstrumented run pays a
+handful of identity checks per event and nothing else.
+
+The loop dispatches in *same-timestamp batches*: when several events
 share one instant, the inner loop drains them without re-entering the
 outer bookkeeping (monotonicity check, horizon check, ``now`` update) —
 popping one event at a time and re-peeking, because a dispatch may push a
@@ -41,10 +55,11 @@ per-event handler set (``on_release``, ``on_job_end``, ``on_alarm``,
 ``on_timer``, ``on_eviction``), one call per live event.
 
 Provably-dead events (stale version token, or a job event whose job is
-already terminal) are filtered *before* journaling, identically in every
-loop variant — ~20–35 % of pops on the Figure-1 workloads are such
-no-ops.  The filter depends only on deterministic run state, so journals
-written before a crash replay exactly after restore.
+already terminal) are filtered *before* journaling
+(:meth:`SchedulingKernel._event_is_noop`) — ~20–35 % of pops on the
+Figure-1 workloads are such no-ops.  The filter depends only on
+deterministic run state, so journals written before a crash replay
+exactly after restore.
 
 Determinism contract: for a fixed instance and scheduler the run is
 bit-for-bit reproducible — ties break by insertion sequence, nothing
@@ -122,7 +137,7 @@ class SchedulingKernel:
         Builds the scheduler-facing context from this kernel; called at
         bootstrap and again at restore (fresh bind).
     horizon, faults, watchdog, journal, snapshot_every:
-        As on the façades (see :class:`~repro.sim.engine.SimulationEngine`).
+        As on :class:`~repro.sim.engine.SimulationEngine`.
     single:
         Selects the decision protocol (see above).  In single mode the
         kernel's combined ``outcomes`` trace *is* ``traces[0]`` (one
@@ -233,12 +248,9 @@ class SchedulingKernel:
         # (the default) this is None and every emission site in the hot
         # path reduces to a single attribute-identity check.
         self._obs = _obs.current()
-        #: The object faults and watchdog monitors observe (the façade);
-        #: defaults to the kernel itself, façades point it at themselves.
-        self.owner = self
 
     # ------------------------------------------------------------------
-    # Read-only accessors (used by façades, the watchdog and recovery)
+    # Read-only accessors (used by the watchdog, recovery and the service)
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
@@ -349,15 +361,15 @@ class SchedulingKernel:
         return False
 
     def _event_is_noop(self, event: Event) -> bool:
-        """Pre-dispatch filter: exactly the early-return cases of
-        :meth:`_dispatch`, evaluated *before* journaling.
+        """Pre-dispatch filter: the one definition of a dead event,
+        evaluated *before* journaling; :meth:`_dispatch` assumes a live
+        event.
 
-        Must stay in lockstep with the dispatch handlers and must be
-        applied identically in every loop variant: skipped events are
-        never journaled and never counted, so a journal written with the
-        watchdog/observability on replays bit-identically with them off —
-        and a pre-crash journal replays bit-identically after restore
-        (the filter reads only deterministic run state)."""
+        Skipped events are never journaled and never counted, so a
+        journal written with the watchdog/observability on replays
+        bit-identically with them off — and a pre-crash journal replays
+        bit-identically after restore (the filter reads only
+        deterministic run state)."""
         kind = event.kind
         if kind is EventKind.COMPLETION:
             payload = event.payload
@@ -576,6 +588,8 @@ class SchedulingKernel:
     # Event dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, event: Event) -> None:
+        """Apply one live event; :meth:`_event_is_noop` has already
+        filtered out the dead ones."""
         t = event.time
         kind = event.kind
 
@@ -606,8 +620,6 @@ class SchedulingKernel:
                 proc, job = 0, payload
             else:
                 proc, job = payload
-            if self._completion_version.get(job.jid, 0) != event.version:
-                return  # stale: the job was preempted since this was armed
             if self._current[proc] is not job:  # pragma: no cover - defensive
                 return
             self._complete(proc, job, t)
@@ -616,8 +628,6 @@ class SchedulingKernel:
         if kind is EventKind.DEADLINE:
             job = event.payload
             row = self._row[job.jid]
-            if self._st[row] >= _TERMINAL_MIN:
-                return
             proc = self._proc_of.get(job.jid)
             if proc is not None and self._current[proc] is job:
                 # Jobs with zero laxity finish *exactly* at their deadline;
@@ -646,10 +656,6 @@ class SchedulingKernel:
 
         if kind is EventKind.ALARM:
             job, tag = event.payload
-            if self._alarm_version.get(job.jid, 0) != event.version:
-                return  # re-armed or cancelled since
-            if self._st[self._row[job.jid]] != _READY:
-                return  # running/finished jobs do not take alarms
             desired = self._scheduler.on_alarm(job, tag)
             self._apply(desired, t)
             return
@@ -795,9 +801,9 @@ class SchedulingKernel:
         self._events.push_many(seed)
 
         for i, fault in enumerate(self._faults):
-            fault.arm(self.owner, i)
+            fault.arm(self, i)
         if self._watchdog is not None:
-            self._watchdog.start(self.owner)
+            self._watchdog.start(self)
         self._started = True
         if self._snapshot_every is not None:
             self._last_snapshot = self.snapshot()
@@ -877,53 +883,58 @@ class SchedulingKernel:
         their release time dispatches, so the ``(kind, seq)`` order at
         that instant matches the closed-horizon replay.  ``now`` is left
         at the last dispatched event (never advanced to ``until``), again
-        matching replay semantics.  Always runs the *full* loop variant —
-        the service path carries a journal and snapshots.  No-op once the
-        kernel has ended."""
-        if not self._started:
-            self._bootstrap()
-        if self._ended:
-            return
-        self._run_full(until=float(until))
-
-    def run_loop(self) -> None:
-        """Execute (or, after :meth:`restore`, resume) to the horizon and
-        wind down.  The façade builds the result object afterwards.
-
-        Two loop bodies share the dispatch semantics: the *fast* variant
-        runs when no journal, watchdog, snapshot cadence, crash plan or
-        observability session is attached (the Monte-Carlo/benchmark hot
-        path) and carries zero per-event bookkeeping branches; the *full*
-        variant handles all of those.  Both filter provably-dead events
-        through :meth:`_event_is_noop` before counting/journaling and
-        drain same-timestamp batches through an inner loop, so their
-        dispatch sequences — and therefore journals, traces and results —
-        are bit-identical."""
+        matching replay semantics.  Same loop body as :meth:`run_loop`;
+        no-op once the kernel has ended."""
         if not self._started:
             self._bootstrap()
         if not self._ended:
-            if (
-                self._journal is None
-                and self._watchdog is None
-                and self._snapshot_every is None
-                and not self._event_crashes
-                and self._obs is None
-            ):
-                self._run_fast()
-            else:
-                self._run_full()
+            self._run(float(until))
+
+    def run_loop(self) -> None:
+        """Execute (or, after :meth:`restore`, resume) to the horizon and
+        wind down.  The engine's ``run()`` builds the result afterwards.
+
+        Runs the one loop body, :meth:`_run`, with no bound; the
+        journal, watchdog, snapshot cadence, crash plans and
+        observability are per-event ``is not None`` tests inside it."""
+        if not self._started:
+            self._bootstrap()
+        if not self._ended:
+            self._run(math.inf)
         self._wind_down()
 
-    def _run_fast(self) -> None:
+    def _run(self, until: float) -> None:
+        """The event loop: dispatch live events strictly before ``until``
+        (``math.inf`` for a closed-horizon run) until END or the horizon.
+
+        Loop-invariant lookups are hoisted: faults are armed in
+        _bootstrap/restore (both before this point), and the
+        journal/watchdog/snapshot/obs wiring never changes mid-run."""
         events = self._events
         pop = events.pop
         peek = events.peek_time
         dispatch = self._dispatch
         noop = self._event_is_noop
+        journal = self._journal
+        watchdog = self._watchdog
+        snapshot_every = self._snapshot_every
+        crash_hook = self._maybe_crash_at_event if self._event_crashes else None
+        bounded = until < math.inf
         horizon = self._horizon
         end_kind = EventKind.END
+        octx = self._obs
 
         while len(events):
+            # Exclusive bound (run_until): stop *before* popping the first
+            # event at or past `until`.  Checked ahead of the event-indexed
+            # crash hook so a crash armed for the next dispatch doesn't fire
+            # for an event this call will never dispatch.  A stale head at
+            # or past the bound also stops the loop — every live event
+            # behind it is at or past the bound too.
+            if bounded and peek() >= until:
+                return
+            if crash_hook is not None:
+                crash_hook()
             event = pop()
             t = event.time
             if t < self._now - _EPS:
@@ -944,69 +955,6 @@ class SchedulingKernel:
             # a time: a dispatch may push a *same-instant* event of higher
             # kind priority (e.g. a COMPLETION predicted at exactly t),
             # which must come out before the rest of the batch.
-            while True:
-                if not noop(event):
-                    self._dispatch_count += 1
-                    dispatch(event)
-                if peek() != t:
-                    break
-                event = pop()
-                if event.kind is end_kind:
-                    self._now = t
-                    self._ended = True
-                    return
-
-    def _run_full(self, until: float | None = None) -> None:
-        # Loop-invariant lookups hoisted out of the per-event path.  All of
-        # these are fixed for the lifetime of one run_loop call: faults are
-        # armed in _bootstrap/restore (both before this point), and the
-        # journal/watchdog/snapshot wiring never changes mid-run.
-        events = self._events
-        pop = events.pop
-        peek = events.peek_time
-        dispatch = self._dispatch
-        noop = self._event_is_noop
-        journal = self._journal
-        watchdog = self._watchdog
-        snapshot_every = self._snapshot_every
-        has_event_crashes = bool(self._event_crashes)
-        horizon = self._horizon
-        end_kind = EventKind.END
-        owner = self.owner
-        octx = self._obs
-
-        while len(events) and not self._ended:
-            if until is not None:
-                # Exclusive incremental bound (run_until): stop *before*
-                # popping the first event at or past `until`.  Checked
-                # ahead of the event-indexed crash hook so a crash armed
-                # for the next dispatch doesn't fire for an event this
-                # call will never dispatch.  A stale head at or past the
-                # bound also stops the loop — every live event behind it
-                # is at or past the bound too.
-                next_time = peek()
-                if next_time is None or next_time >= until:
-                    return
-            if has_event_crashes:
-                self._maybe_crash_at_event()
-            event = pop()
-            t = event.time
-            if t < self._now - _EPS:
-                raise SimulationError(
-                    f"time went backwards: {t} < {self._now}"
-                )
-            if event.kind is end_kind:
-                self._now = t
-                self._ended = True
-                break
-            if t > horizon:
-                self._now = horizon
-                self._ended = True
-                break
-            self._now = t
-
-            # Same-timestamp batch (see _run_fast for the pop/re-peek
-            # rationale); identical filter and dispatch order.
             while True:
                 if noop(event):
                     if octx is not None:
@@ -1038,7 +986,7 @@ class SchedulingKernel:
                     else:
                         self._dispatch_observed(octx, event)
                     if watchdog is not None:
-                        watchdog.after_event(owner, event)
+                        watchdog.after_event(self, event)
                     if (
                         snapshot_every is not None
                         and self._dispatch_count % snapshot_every == 0
@@ -1046,13 +994,13 @@ class SchedulingKernel:
                         self._last_snapshot = self.snapshot()
                 if peek() != t:
                     break
-                if has_event_crashes:
-                    self._maybe_crash_at_event()
+                if crash_hook is not None:
+                    crash_hook()
                 event = pop()
                 if event.kind is end_kind:
                     self._now = t
                     self._ended = True
-                    break
+                    return
 
     def _wind_down(self) -> None:
         """Close running segments and fail unresolved jobs at ``now``.
@@ -1077,9 +1025,9 @@ class SchedulingKernel:
             )
 
     def _dispatch_observed(self, octx, event: Event) -> None:
-        """The traced twin of the ``dispatch(event)`` call in
-        :meth:`_run_full` — taken only when an observability session is
-        active, so none of this code runs on the disabled path.
+        """The traced twin of the ``dispatch(event)`` call in :meth:`_run`
+        — taken only when an observability session is active, so none of
+        this code runs on the disabled path.
 
         Stamps the sink with the dispatch index (events emitted during
         this dispatch group under it — the replay-truncation boundary on
@@ -1109,9 +1057,9 @@ class SchedulingKernel:
             self._dispatch(event)
 
     def after_run(self, result) -> None:
-        """Watchdog wind-down hook (called by the façade with its result)."""
+        """Watchdog wind-down hook (called by ``run()`` with its result)."""
         if self._watchdog is not None:
-            self._watchdog.after_run(self.owner, result)
+            self._watchdog.after_run(self, result)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (crash recovery)
@@ -1308,10 +1256,10 @@ class SchedulingKernel:
         for i, fault in enumerate(self._faults):
             rearm = getattr(fault, "rearm", None)
             if rearm is not None:
-                rearm(self.owner, i)
+                rearm(self, i)
 
         if self._watchdog is not None:
-            self._watchdog.start(self.owner)
+            self._watchdog.start(self)
         self._last_snapshot = snapshot
         self._started = True
 

@@ -1,4 +1,4 @@
-"""Generic crash→restore→resume loop shared by both engine façades.
+"""Generic crash→restore→resume loop shared by both engines.
 
 The resilience contract (docs/ROBUSTNESS.md §7) is the same for the
 single-processor and multiprocessor engines: a :class:`SimulatedCrash`
@@ -121,8 +121,3 @@ def run_with_recovery(
                 ) from crash
             engine = build()
             engine.restore(snapshot)
-
-
-def recoveries_or_zero(recoveries: Optional[int]) -> int:
-    """Small helper for result plumbing: ``None``-safe recovery count."""
-    return int(recoveries or 0)

@@ -1,9 +1,10 @@
-"""Multiprocessor discrete-event engine (m ≥ 1 façade over the kernel).
+"""Multiprocessor discrete-event engine (the kernel at m ≥ 1).
 
-The event loop is :class:`repro.kernel.SchedulingKernel` — the same one
-the single-processor :class:`~repro.sim.engine.SimulationEngine` runs —
-instantiated with ``m`` (possibly heterogeneous) capacity trajectories and
-the assignment decision protocol: the scheduler returns a full assignment
+:class:`MultiprocessorEngine` subclasses
+:class:`repro.kernel.SchedulingKernel` — the same loop the
+single-processor :class:`~repro.sim.engine.SimulationEngine` runs — with
+``m`` (possibly heterogeneous) capacity trajectories and the assignment
+decision protocol: the scheduler returns a full assignment
 after every interrupt; the kernel diffs it against the current one, closes
 segments for displaced jobs, and re-predicts completions with each
 processor's exact inverse integral (O(log n) via the per-capacity
@@ -14,7 +15,7 @@ resumes from its exact remaining workload on any processor (workload is
 capacity-units × time, so a job's progress is processor-independent — the
 same modelling choice the paper makes for its dynamically-sized VMs).
 
-Because the loop is shared, everything the single-processor engine can do
+Because the kernel is shared, everything the single-processor engine can do
 works here too, for free:
 
 * **execution-fault injection** (:mod:`repro.faults.execution`) — job
@@ -33,7 +34,7 @@ no job ever runs on two processors at once (no intra-job parallelism).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.capacity.base import CapacityFunction
 from repro.kernel.core import SchedulingKernel
@@ -41,7 +42,7 @@ from repro.kernel.recovery import run_with_recovery
 from repro.multi.metrics import MultiSimulationResult
 from repro.multi.scheduler import MultiScheduler, MultiSchedulerContext
 from repro.sim.job import Job
-from repro.sim.journal import EngineSnapshot, EventJournal
+from repro.sim.journal import EventJournal
 from repro.sim.trace import ScheduleTrace
 
 __all__ = ["MultiprocessorEngine", "simulate_multi"]
@@ -91,13 +92,16 @@ class _MultiContext(MultiSchedulerContext):
         self._kernel.set_timer(time, tag)
 
 
-class MultiprocessorEngine:
+class MultiprocessorEngine(SchedulingKernel):
     """Run one global scheduler over m processors.
 
-    Parameters mirror the single-processor engine; ``capacities`` carries
-    one trajectory per processor, and ``faults`` / ``watchdog`` /
-    ``journal`` / ``snapshot_every`` behave exactly as on
-    :class:`~repro.sim.engine.SimulationEngine` (same kernel).
+    The kernel with the assignment decision protocol.  Parameters mirror
+    the single-processor engine; ``capacities`` carries one trajectory per
+    processor, and ``faults`` / ``watchdog`` / ``journal`` /
+    ``snapshot_every`` behave exactly as on
+    :class:`~repro.sim.engine.SimulationEngine`.  ``trace`` is the
+    combined outcome/value record (no segments for m > 1); the
+    per-processor segment traces are :attr:`proc_traces`.
     """
 
     def __init__(
@@ -113,8 +117,7 @@ class MultiprocessorEngine:
         journal: "EventJournal | None" = None,
         snapshot_every: int | None = None,
     ) -> None:
-        self._validate = bool(validate)
-        self._kernel = SchedulingKernel(
+        super().__init__(
             jobs,
             list(capacities),
             scheduler,
@@ -126,113 +129,26 @@ class MultiprocessorEngine:
             snapshot_every=snapshot_every,
             single=False,
         )
-        # Faults and watchdog monitors observe *this* object (the public
-        # engine), which re-exports every kernel accessor they use.
-        self._kernel.owner = self
-
-    # ------------------------------------------------------------------
-    # Read-only accessors (used by the invariant watchdog and recovery)
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self._kernel.now
-
-    @property
-    def horizon(self) -> float:
-        return self._kernel.horizon
-
-    @property
-    def n_procs(self) -> int:
-        return self._kernel.n_procs
-
-    @property
-    def capacity(self) -> CapacityFunction:
-        """Processor 0's trajectory (monitor fallback for m = 1 reads)."""
-        return self._kernel.capacity
-
-    @property
-    def capacities(self) -> List[CapacityFunction]:
-        return self._kernel.capacities
-
-    @property
-    def trace(self) -> ScheduleTrace:
-        """The combined outcome/value record (no segments for m > 1)."""
-        return self._kernel.trace
+        self._validate = bool(validate)
 
     @property
     def proc_traces(self) -> List[ScheduleTrace]:
-        return self._kernel.traces
+        return self.traces
 
-    @property
-    def scheduler(self) -> MultiScheduler:
-        return self._kernel.scheduler
-
-    @property
-    def jobs_by_id(self) -> Dict[int, Job]:
-        return self._kernel.jobs_by_id
-
-    @property
-    def dispatch_count(self) -> int:
-        """Events dispatched so far (journal index of the next dispatch)."""
-        return self._kernel.dispatch_count
-
-    @property
-    def last_snapshot(self) -> Optional[EngineSnapshot]:
-        return self._kernel.last_snapshot
-
-    @property
-    def event_queue_size(self) -> int:
-        return self._kernel.event_queue_size
-
-    @property
-    def kernel(self) -> SchedulingKernel:
-        """The shared scheduling kernel this engine instantiates at m≥1."""
-        return self._kernel
-
-    # ------------------------------------------------------------------
-    # Execution-fault plumbing (used by repro.faults.execution at arm time)
-    # ------------------------------------------------------------------
-    def push_fault_event(self, time: float, payload: tuple) -> None:
-        """Queue a FAULT event (payload: ``("kill", i, retain[, proc])``,
-        ``("evict", i[, proc])`` or ``("crash", i)``)."""
-        self._kernel.push_fault_event(time, payload)
-
-    def register_event_crash(self, fault_index: int, at_event: int) -> None:
-        """Arrange for crash plan ``fault_index`` to fire just before the
-        ``at_event``-th event dispatch."""
-        self._kernel.register_event_crash(fault_index, at_event)
-
-    # ------------------------------------------------------------------
-    # Run / snapshot / restore
-    # ------------------------------------------------------------------
     def run(self) -> MultiSimulationResult:
         """Execute (or, after :meth:`restore`, resume) the simulation."""
-        self._kernel.run_loop()
-
+        self.run_loop()
         result = MultiSimulationResult(
-            scheduler_name=self._kernel.scheduler.name,
-            jobs=self._kernel.jobs,
-            horizon=self._kernel.horizon,
-            proc_traces=self._kernel.traces,
-            combined=self._kernel.outcomes,
+            scheduler_name=self.scheduler.name,
+            jobs=self.jobs,
+            horizon=self.horizon,
+            proc_traces=self.traces,
+            combined=self.outcomes,
         )
         if self._validate:
-            result.validate(self._kernel.capacities)
-        self._kernel.after_run(result)
+            result.validate(self.capacities)
+        self.after_run(result)
         return result
-
-    def snapshot(self) -> EngineSnapshot:
-        """Image the complete mid-run state (picklable; jid-based)."""
-        return self._kernel.snapshot()
-
-    def restore(self, snapshot: EngineSnapshot) -> None:
-        """Load a snapshot into this (fresh, never-run) engine.
-
-        After restoring, :meth:`run` resumes from the snapshot instant; if
-        the engine also holds a journal extending past the snapshot, the
-        resumed dispatches are verified against it (deterministic replay).
-        """
-        self._kernel.restore(snapshot)
 
 
 def simulate_multi(

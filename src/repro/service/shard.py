@@ -453,7 +453,7 @@ class TenantShard:
             self._resume_from_store()
         else:
             self._engine = self._build_engine([], capacity)
-            self._engine.kernel.start()
+            self._engine.start()
 
     # ------------------------------------------------------------------
     def _build_engine(
@@ -481,8 +481,8 @@ class TenantShard:
 
     # -- accessors ------------------------------------------------------
     @property
-    def kernel(self):
-        return self._engine.kernel
+    def kernel(self) -> SimulationEngine:
+        return self._engine
 
     @property
     def tenant(self) -> str:
@@ -937,6 +937,18 @@ class TenantShard:
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
+    def _reapply_ops(self, engine: SimulationEngine, base: int) -> None:
+        """Re-apply, in order, the op records at or past dispatch
+        ``base``: the admissions and fault pushes a restored image (or a
+        fresh world, ``base`` 0) does not contain."""
+        for dc, kind, data in self._ops:
+            if dc < base:
+                continue
+            if kind == "admit":
+                engine.admit_job(data)
+            else:  # "push"
+                engine.push_fault_event(*data)
+
     def recover(self, crash: BaseException) -> None:
         """Restore the last periodic snapshot and re-apply the op log.
 
@@ -959,15 +971,8 @@ class TenantShard:
             ) from crash
         engine = self._build_engine(self._accepted[: snapshot.rows])
         engine.restore(snapshot)
-        kernel = engine.kernel
         base = snapshot.dispatch_count
-        for dc, kind, data in self._ops:
-            if dc < base:
-                continue
-            if kind == "admit":
-                kernel.admit_job(data)
-            else:  # "push"
-                kernel.push_fault_event(*data)
+        self._reapply_ops(engine, base)
         self._engine = engine
         self._recoveries += 1
         self._count("service.recoveries")
@@ -977,7 +982,7 @@ class TenantShard:
         if octx is not None:
             octx.emit(
                 "service.recover",
-                kernel.now,
+                engine.now,
                 {
                     "tenant": self.tenant,
                     "snapshot_dispatch": base,
@@ -1166,12 +1171,8 @@ class TenantShard:
             # run about to be regenerated; the kernel verifies it against
             # them.
             engine = self._build_engine([])
-            engine.kernel.start()
-            for _dc, kind, data in tail:
-                if kind == "admit":
-                    engine.kernel.admit_job(data)
-                else:
-                    engine.kernel.push_fault_event(*data)
+            engine.start()
+            self._reapply_ops(engine, 0)
         else:
             if len(self._journal) < snap.dispatch_count:
                 raise RecoveryError(
@@ -1182,14 +1183,7 @@ class TenantShard:
                 )
             engine = self._build_engine(self._accepted[: snap.rows])
             engine.restore(snap)
-            base = snap.dispatch_count
-            for dc, kind, data in tail:
-                if dc < base:
-                    continue
-                if kind == "admit":
-                    engine.kernel.admit_job(data)
-                else:
-                    engine.kernel.push_fault_event(*data)
+            self._reapply_ops(engine, snap.dispatch_count)
 
         self._engine = engine
         self._recoveries += 1
@@ -1205,7 +1199,7 @@ class TenantShard:
         if octx is not None:
             octx.emit(
                 "service.cold_start",
-                engine.kernel.now,
+                engine.now,
                 {
                     "tenant": self.tenant,
                     "accepted": len(self._accepted),

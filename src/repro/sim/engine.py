@@ -1,13 +1,13 @@
-"""The single-processor simulation engine (m = 1 façade over the kernel).
+"""The single-processor simulation engine (the kernel at m = 1).
 
 The event loop itself — exact completion prediction on the prefix-indexed
 capacity, deadline policing, alarm/timer plumbing with lazy deletion,
 trace recording, fault dispatch, snapshot/restore with the write-ahead
 journal, and the invariant-watchdog hooks — lives in
 :class:`repro.kernel.SchedulingKernel`, shared with the multiprocessor
-engine.  This module instantiates the kernel at ``m = 1`` with the
-paper's single-processor decision protocol (scheduler handlers return
-``Optional[Job]``) and preserves the historical public API byte for byte:
+engine.  :class:`SimulationEngine` subclasses the kernel at ``m = 1``
+with the paper's single-processor decision protocol (scheduler handlers
+return ``Optional[Job]``), adding only the result-building ``run()``:
 
 * **exact completion prediction** — when a job starts (or resumes) at time
   ``t`` with remaining workload ``w``, its completion instant is
@@ -48,16 +48,15 @@ watchdog (:mod:`repro.sim.invariants`) observes every dispatch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.capacity.base import CapacityFunction
 from repro.kernel.core import SchedulingKernel
 from repro.kernel.recovery import run_with_recovery
 from repro.sim.job import Job
-from repro.sim.journal import EngineSnapshot, EventJournal
+from repro.sim.journal import EventJournal
 from repro.sim.metrics import SimulationResult
 from repro.sim.scheduler import Scheduler, SchedulerContext
-from repro.sim.trace import ScheduleTrace
 
 __all__ = ["SimulationEngine", "simulate"]
 
@@ -104,8 +103,12 @@ class _EngineContext(SchedulerContext):
         self._kernel.set_timer(time, tag)
 
 
-class SimulationEngine:
+class SimulationEngine(SchedulingKernel):
     """Run one scheduler over one instance (jobs + capacity trajectory).
+
+    The kernel at ``m = 1`` with the single-decision protocol; every
+    kernel accessor (``now``, ``trace``, ``dispatch_count``, ...) and
+    ``snapshot``/``restore`` are inherited unchanged.
 
     Parameters
     ----------
@@ -155,8 +158,7 @@ class SimulationEngine:
         journal: "EventJournal | None" = None,
         snapshot_every: int | None = None,
     ) -> None:
-        self._validate = bool(validate)
-        self._kernel = SchedulingKernel(
+        super().__init__(
             jobs,
             [capacity],
             scheduler,
@@ -168,101 +170,21 @@ class SimulationEngine:
             snapshot_every=snapshot_every,
             single=True,
         )
-        # Faults and watchdog monitors observe *this* object (the public
-        # engine), which re-exports every kernel accessor they use.
-        self._kernel.owner = self
+        self._validate = bool(validate)
 
-    # ------------------------------------------------------------------
-    # Read-only accessors (used by the invariant watchdog and recovery)
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self._kernel.now
-
-    @property
-    def horizon(self) -> float:
-        return self._kernel.horizon
-
-    @property
-    def capacity(self) -> CapacityFunction:
-        return self._kernel.capacity
-
-    @property
-    def trace(self) -> ScheduleTrace:
-        return self._kernel.trace
-
-    @property
-    def scheduler(self) -> Scheduler:
-        return self._kernel.scheduler
-
-    @property
-    def jobs_by_id(self) -> Dict[int, Job]:
-        return self._kernel.jobs_by_id
-
-    @property
-    def dispatch_count(self) -> int:
-        """Events dispatched so far (journal index of the next dispatch)."""
-        return self._kernel.dispatch_count
-
-    @property
-    def last_snapshot(self) -> Optional[EngineSnapshot]:
-        return self._kernel.last_snapshot
-
-    @property
-    def event_queue_size(self) -> int:
-        return self._kernel.event_queue_size
-
-    @property
-    def kernel(self) -> SchedulingKernel:
-        """The shared scheduling kernel this engine instantiates at m=1."""
-        return self._kernel
-
-    # ------------------------------------------------------------------
-    # Execution-fault plumbing (used by repro.faults.execution at arm time)
-    # ------------------------------------------------------------------
-    def push_fault_event(self, time: float, payload: tuple) -> None:
-        """Queue a FAULT event (payload: ``("kill", i, retain)``,
-        ``("evict", i)`` or ``("crash", i)``)."""
-        self._kernel.push_fault_event(time, payload)
-
-    def register_event_crash(self, fault_index: int, at_event: int) -> None:
-        """Arrange for crash plan ``fault_index`` to fire just before the
-        ``at_event``-th event dispatch."""
-        self._kernel.register_event_crash(fault_index, at_event)
-
-    # ------------------------------------------------------------------
-    # Run / snapshot / restore
-    # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Execute (or, after :meth:`restore`, resume) the simulation."""
-        self._kernel.run_loop()
-
+        self.run_loop()
         if self._validate:
-            self._kernel.trace.validate(
-                self._kernel.jobs, self._kernel.capacity
-            )
-
+            self.trace.validate(self.jobs, self.capacity)
         result = SimulationResult(
-            scheduler_name=self._kernel.scheduler.name,
-            jobs=self._kernel.jobs,
-            horizon=self._kernel.horizon,
-            trace=self._kernel.trace,
+            scheduler_name=self.scheduler.name,
+            jobs=self.jobs,
+            horizon=self.horizon,
+            trace=self.trace,
         )
-        self._kernel.after_run(result)
+        self.after_run(result)
         return result
-
-    def snapshot(self) -> EngineSnapshot:
-        """Image the complete mid-run state (picklable; jid-based)."""
-        return self._kernel.snapshot()
-
-    def restore(self, snapshot: EngineSnapshot) -> None:
-        """Load a snapshot into this (fresh, never-run) engine.
-
-        After restoring, :meth:`run` resumes from the snapshot instant; if
-        the engine also holds a journal extending past the snapshot, the
-        resumed dispatches are verified against it (deterministic replay).
-        """
-        self._kernel.restore(snapshot)
 
 
 def simulate(

@@ -1,6 +1,6 @@
 """Kernel parity: an m=1 multiprocessor run *is* the single-processor run.
 
-Both engines are façades over the same :class:`repro.kernel.
+Both engines are subclasses of the same :class:`repro.kernel.
 SchedulingKernel`; this suite pins the strongest consequence — wrapping
 any single-processor scheduler in :class:`~repro.multi.
 SingleProcessorAdapter` and running it through a one-processor
@@ -121,7 +121,8 @@ def test_m1_parity_survives_crash_recovery(make_scheduler):
 
 
 def test_engines_share_the_kernel():
-    """No duplicated event loop: both engines run the same kernel class."""
+    """No duplicated event loop: both engines are the kernel class and
+    override none of its loop, admission or snapshot machinery."""
     from repro.kernel import SchedulingKernel
 
     jobs, capacity = _instance(seed=3)
@@ -129,8 +130,19 @@ def test_engines_share_the_kernel():
     multi = MultiprocessorEngine(
         jobs, [capacity], SingleProcessorAdapter(EDFScheduler())
     )
-    assert type(single.kernel) is SchedulingKernel
-    assert type(multi.kernel) is SchedulingKernel
+    assert isinstance(single, SchedulingKernel)
+    assert isinstance(multi, SchedulingKernel)
+    for cls in (SimulationEngine, MultiprocessorEngine):
+        for name in (
+            "run_loop",
+            "run_until",
+            "_run",
+            "_dispatch",
+            "admit_job",
+            "snapshot",
+            "restore",
+        ):
+            assert getattr(cls, name) is getattr(SchedulingKernel, name), name
 
 
 def test_adapter_rejects_more_than_one_processor():

@@ -148,7 +148,7 @@ def test_multi_schema3_pickle_restore_bit_identical(make_policy, crash_at):
     )
     with pytest.raises(SimulatedCrash):
         engine.run()
-    snapshot = engine.kernel.snapshot()
+    snapshot = engine.snapshot()
     assert snapshot.schema == SNAPSHOT_SCHEMA and snapshot.n_procs == 3
     assert sum(map(len, snapshot.trace_segments)) > 0
     image = pickle.loads(pickle.dumps(snapshot))

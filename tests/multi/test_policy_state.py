@@ -85,8 +85,7 @@ class TestMultiSchedulerState:
         ]
         engine = MultiprocessorEngine(jobs, caps, scheduler)
         # Bind outside run_loop, exactly as restore() does.
-        kernel = engine.kernel
-        scheduler.bind(kernel._make_context(kernel))
+        scheduler.bind(engine._make_context(engine))
         return scheduler
 
     def test_global_policy_state_is_plain_data(self):

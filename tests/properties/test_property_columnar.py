@@ -13,8 +13,8 @@ Three contracts guard this PR's refactor:
    chain, and ``advance_from`` with a cached anchor vs plain ``advance``.
 3. **Batched dispatch equivalence** — same-timestamp batch draining plus
    the pre-journal stale filter must leave journals and observability
-   exports invariant across loop variants (fast vs instrumented) on
-   tie-heavy instances.
+   exports invariant with and without instrumentation on tie-heavy
+   instances.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ class TestTableObjectParity:
             jobs, cap, EDFScheduler(), faults=faults, validate=True
         )
         result = engine.run()
-        table = engine.kernel.table
+        table = engine.table
         assert table.rows_unresolved().size == 0
         outcomes = result.trace.outcomes
         for job in jobs:
@@ -295,7 +295,7 @@ def _tie_heavy_instance(seed=3):
 
 class TestBatchedDispatchEquivalence:
     """Same-timestamp batching + the pre-journal stale filter must leave
-    results, journals and obs exports invariant across loop variants."""
+    results, journals and obs exports invariant under instrumentation."""
 
     @pytest.mark.parametrize(
         "make",
@@ -308,14 +308,14 @@ class TestBatchedDispatchEquivalence:
         def cap():
             return TwoStateMarkovCapacity(1.0, 4.0, mean_sojourn=5.0, rng=11)
 
-        fast = simulate(jobs, cap(), make())  # no instrumentation: fast loop
+        fast = simulate(jobs, cap(), make())  # no instrumentation
         journal = EventJournal()
-        full = simulate(jobs, cap(), make(), journal=journal)  # full loop
+        full = simulate(jobs, cap(), make(), journal=journal)
         assert results_bit_identical(fast, full)
         assert len(journal) > 0
 
     def test_journal_invariant_under_observability(self):
-        """The stale filter runs before journaling in every variant, so an
+        """The stale filter runs before journaling on every run, so an
         obs session must not change a single journal record."""
         jobs = _tie_heavy_instance()
 

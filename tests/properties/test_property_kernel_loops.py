@@ -1,10 +1,11 @@
-"""The kernel's two loop bodies agree, and a crash never shows.
+"""The kernel's one loop gives the same run however it is instrumented or
+driven, and a crash never shows.
 
-The kernel runs one of two loops (docs/ARCHITECTURE.md): ``_run_fast``
-when nothing is instrumented, ``_run_full`` when a journal, watchdog,
-snapshot cadence, crash plan or observability session is attached.  Both
-must dispatch the same events in the same order, so results and full
-segment lists are bit-identical.  This suite pins that on a tie-heavy
+The kernel has one loop body (docs/ARCHITECTURE.md) whose journal,
+watchdog, snapshot cadence and observability hooks are per-event
+``is not None`` tests.  Turning them on must not change which events
+dispatch or in what order, so results and full segment lists are
+bit-identical to the bare run.  This suite pins that on a tie-heavy
 instance (integer release grid: every timestamp carries several events)
 and a slack one, for all seven single-processor policies.
 
@@ -13,9 +14,12 @@ Also here:
 * per-policy crash-resume identity — a crashed and resumed run writes the
   same journal and the same observability replay stream, byte for byte,
   as the run that never crashed;
+* stepping identity — ``start()``, ``run_until`` over a grid whose bounds
+  land on event times, then ``run()`` equals one closed-horizon run, and
+  an event-indexed crash fires at the same dispatch in both drives;
 * the scan-count regression — bootstrap seeding and the wind-down sweep
   are one vectorized pass each, and the run loop never re-derives the
-  ready set, in either loop.
+  ready set, bare or instrumented.
 """
 
 from __future__ import annotations
@@ -35,9 +39,10 @@ from repro.core import (
     LLFScheduler,
     VDoverScheduler,
 )
+from repro.errors import SimulatedCrash
 from repro.faults.execution import EngineCrashPlan
-from repro.kernel import SchedulingKernel
-from repro.sim import Job, simulate
+from repro.sim import Job, SimulationEngine, simulate
+from repro.sim.invariants import InvariantWatchdog
 from repro.sim.journal import EventJournal, results_bit_identical
 from repro.sim.jobtable import JobTable
 
@@ -106,36 +111,47 @@ def _fingerprint(result):
     )
 
 
-@pytest.fixture
-def loops_taken(monkeypatch):
-    """Counts calls of each kernel loop body."""
-    taken = {"fast": 0, "full": 0}
-    for name, key in (("_run_fast", "fast"), ("_run_full", "full")):
-        original = getattr(SchedulingKernel, name)
-
-        def spy(self, *args, _original=original, _key=key, **kwargs):
-            taken[_key] += 1
-            return _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(SchedulingKernel, name, spy)
-    return taken
+def _instance(kind):
+    if kind == "zero_laxity":
+        return _tie_heavy_instance(n=160)
+    return _slack_instance()
 
 
-class TestFastPathEquivalence:
+class TestInstrumentationEquivalence:
+    """The bare run and the instrumented runs dispatch identically."""
+
     @pytest.mark.parametrize("name", sorted(POLICIES), ids=sorted(POLICIES))
     @pytest.mark.parametrize("instance", ["zero_laxity", "slack"])
-    def test_fast_and_full_loops_identical(self, loops_taken, name, instance):
-        jobs = (
-            _tie_heavy_instance(n=160)
-            if instance == "zero_laxity"
-            else _slack_instance()
-        )
+    def test_journaled_run_identical(self, name, instance):
+        jobs = _instance(instance)
         make = POLICIES[name]
-        fast = simulate(jobs, _capacity(), make())
-        assert loops_taken == {"fast": 1, "full": 0}
-        full = simulate(jobs, _capacity(), make(), journal=EventJournal())
-        assert loops_taken == {"fast": 1, "full": 1}
-        assert _fingerprint(fast) == _fingerprint(full)
+        bare = simulate(jobs, _capacity(), make())
+        journal = EventJournal()
+        journaled = simulate(jobs, _capacity(), make(), journal=journal)
+        assert _fingerprint(bare) == _fingerprint(journaled)
+        assert len(journal) > 0
+
+    @pytest.mark.parametrize("name", sorted(POLICIES), ids=sorted(POLICIES))
+    @pytest.mark.parametrize("instance", ["zero_laxity", "slack"])
+    def test_watched_snapshotted_observed_run_identical(self, name, instance):
+        jobs = _instance(instance)
+        make = POLICIES[name]
+        bare = simulate(jobs, _capacity(), make())
+        watchdog = InvariantWatchdog(paranoid=True)
+        with obs.session() as octx:
+            engine = SimulationEngine(
+                jobs,
+                _capacity(),
+                make(),
+                watchdog=watchdog,
+                snapshot_every=8,
+            )
+            watched = engine.run()
+            observed = octx.metrics.counter("kernel.events").n
+        assert _fingerprint(bare) == _fingerprint(watched)
+        assert observed == engine.dispatch_count > 0
+        assert engine.last_snapshot.dispatch_count > 0
+        assert not watchdog.violations
 
 
 def _traced_run(make, trace_path, *, crash):
@@ -168,6 +184,79 @@ class TestCrashResume:
         assert blob == blob_c and len(blob) > 0
 
 
+#: Stepping policies: the paper's two headline schedulers.
+STEPPED = ("edf", "vdover")
+
+
+def _step_grid(jobs):
+    """``run_until`` bounds: every integer (the tie-heavy instance's
+    release grid, so many bounds land exactly on event times), the first
+    jobs' deadlines (exact DEADLINE event times), midpoints, and a bound
+    past the horizon."""
+    grid = {float(x) for x in range(0, 26)}
+    grid.update(j.deadline for j in jobs[:12])
+    grid.update(x + 0.5 for x in range(0, 26, 3))
+    grid.add(1e6)
+    return sorted(grid)
+
+
+def _drive(make, *, stepped, faults=()):
+    """One run of the tie-heavy instance, closed (``run()``) or stepped
+    (``start()``, ``run_until`` over the grid, then ``run()``).  Returns
+    the engine, its journal, and the result or the crash it raised."""
+    jobs = _tie_heavy_instance()
+    journal = EventJournal()
+    engine = SimulationEngine(
+        jobs, _capacity(), make(), journal=journal, faults=faults
+    )
+    try:
+        if stepped:
+            engine.start()
+            for bound in _step_grid(jobs):
+                engine.run_until(bound)
+                # Exclusive: nothing at the bound itself has dispatched.
+                assert engine.now < bound or engine.dispatch_count == 0
+        return engine, journal, engine.run()
+    except SimulatedCrash as crash:
+        return engine, journal, crash
+
+
+class TestRunUntilStepping:
+    """run_until and run_loop are two drives of the one loop body."""
+
+    @pytest.mark.parametrize("name", STEPPED)
+    def test_stepped_run_equals_closed_run(self, name):
+        make = POLICIES[name]
+        reference = simulate(_tie_heavy_instance(), _capacity(), make())
+        closed, closed_journal, _ = _drive(make, stepped=False)
+        stepped, stepped_journal, stepped_result = _drive(make, stepped=True)
+        assert results_bit_identical(reference, stepped_result)
+        assert _fingerprint(reference) == _fingerprint(stepped_result)
+        assert stepped_journal.records == closed_journal.records
+        assert stepped.dispatch_count == closed.dispatch_count > 0
+
+    @pytest.mark.parametrize("name", STEPPED)
+    @pytest.mark.parametrize("at_event", [0, 1, 23, 57])
+    def test_crash_fires_at_same_dispatch(self, name, at_event):
+        make = POLICIES[name]
+        closed, closed_journal, closed_crash = _drive(
+            make, stepped=False, faults=[EngineCrashPlan(at_event=at_event)]
+        )
+        stepped, stepped_journal, stepped_crash = _drive(
+            make, stepped=True, faults=[EngineCrashPlan(at_event=at_event)]
+        )
+        assert isinstance(closed_crash, SimulatedCrash)
+        assert isinstance(stepped_crash, SimulatedCrash)
+        assert stepped_crash.at_event == closed_crash.at_event == at_event
+        assert stepped_crash.time == closed_crash.time
+        assert stepped.dispatch_count == closed.dispatch_count == at_event
+        assert stepped_journal.records == closed_journal.records
+        assert (
+            stepped_crash.snapshot.dispatch_count
+            == closed_crash.snapshot.dispatch_count
+        )
+
+
 class _CountingJobTable(JobTable):
     """JobTable that counts its whole-population scans."""
 
@@ -191,8 +280,8 @@ class _CountingJobTable(JobTable):
 class TestScanCounts:
     """The population scans are per run, never per event."""
 
-    @pytest.mark.parametrize("loop", ["fast", "full"])
-    def test_engine_scans_once_per_run(self, monkeypatch, loops_taken, loop):
+    @pytest.mark.parametrize("loop", ["bare", "instrumented"])
+    def test_engine_scans_once_per_run(self, monkeypatch, loop):
         import repro.kernel.core as kernel_core
 
         tables = []
@@ -203,9 +292,18 @@ class TestScanCounts:
             return table
 
         monkeypatch.setattr(kernel_core, "JobTable", capture)
-        kw = {} if loop == "fast" else {"journal": EventJournal()}
-        simulate(_tie_heavy_instance(), _capacity(), EDFScheduler(), **kw)
-        assert loops_taken[loop] == 1
+        if loop == "bare":
+            simulate(_tie_heavy_instance(), _capacity(), EDFScheduler())
+        else:
+            with obs.session():
+                simulate(
+                    _tie_heavy_instance(),
+                    _capacity(),
+                    EDFScheduler(),
+                    journal=EventJournal(),
+                    watchdog=InvariantWatchdog(),
+                    snapshot_every=8,
+                )
         (table,) = tables
         assert table.counts["released_by"] == 1  # bootstrap seeding
         assert table.counts["unresolved"] == 1  # wind-down sweep

@@ -156,8 +156,7 @@ class TestSnapshotDoesNoPerRowWork:
     def test_counted_on_ten_thousand_rows(self, monkeypatch):
         jobs = _jobs(10_000)
         engine, _ = _crashed_engine(jobs, EDFScheduler, at_event=19_500)
-        kernel = engine.kernel
-        rows = len(kernel.table)
+        rows = len(engine.table)
         assert rows >= 9_000
         assert not hasattr(JobTable, "export_status")
         assert not hasattr(JobTable, "export_remaining")
@@ -186,14 +185,14 @@ class TestSnapshotDoesNoPerRowWork:
         assert JobStatus.READY.name == "READY" and jobs[0].jid == jobs[0].jid
         assert counts == {"name": 1, "copy_state": 0, "job_attr": 2}
         counts.update(name=0, job_attr=0)
-        snapshot = kernel.snapshot()
+        snapshot = engine.snapshot()
         monkeypatch.undo()
 
         assert counts["name"] == 0
         assert counts["copy_state"] == 1
         # Job reads come from encoding queued events and running slots.
         queued = len(snapshot.events)
-        assert counts["job_attr"] <= 2 * queued + kernel.n_procs
+        assert counts["job_attr"] <= 2 * queued + engine.n_procs
         assert counts["job_attr"] < rows // 10
         assert snapshot.schema == SNAPSHOT_SCHEMA
         assert snapshot.rows == rows
@@ -202,14 +201,13 @@ class TestSnapshotDoesNoPerRowWork:
     def test_snapshot_is_isolated_from_the_live_run(self):
         jobs = _jobs(300)
         engine, _ = _crashed_engine(jobs, EDFScheduler, at_event=200)
-        kernel = engine.kernel
-        snapshot = kernel.snapshot()
+        snapshot = engine.snapshot()
         frozen = pickle.dumps(snapshot)
         # Mutate the live containers the snapshot copied.
-        kernel.table.remaining[0] = -1.0
-        kernel.table.status[0] = STATUS_CODE[JobStatus.ABANDONED]
-        kernel.trace.segments.pop()
-        kernel.trace.outcomes.clear()
+        engine.table.remaining[0] = -1.0
+        engine.table.status[0] = STATUS_CODE[JobStatus.ABANDONED]
+        engine.trace.segments.pop()
+        engine.trace.outcomes.clear()
         assert pickle.dumps(snapshot) == frozen
 
 
@@ -223,8 +221,8 @@ class TestPickledForm:
         engine, _ = _crashed_engine(
             jobs, lambda: VDoverScheduler(k=7.0), at_event=int(1.2 * n)
         )
-        snapshot = engine.kernel.snapshot()
-        jids = engine.kernel.table.jid.tolist()
+        snapshot = engine.snapshot()
+        jids = engine.table.jid.tolist()
         schema3 = pickle.dumps(snapshot)
         schema2 = _schema2_pickle(snapshot, jids, monkeypatch)
         assert len(schema3) <= len(schema2)
@@ -238,7 +236,7 @@ class TestPickledForm:
     def test_pickled_snapshot_resumes_bit_identically(self, make_scheduler):
         jobs = _jobs(600)
         engine, capacity = _crashed_engine(jobs, make_scheduler, at_event=500)
-        snapshot = pickle.loads(pickle.dumps(engine.kernel.snapshot()))
+        snapshot = pickle.loads(pickle.dumps(engine.snapshot()))
         reference = simulate(jobs, capacity, make_scheduler(), faults=_kills())
         fresh = SimulationEngine(
             jobs, capacity, make_scheduler(), faults=_kills()
@@ -249,8 +247,8 @@ class TestPickledForm:
     def test_schema2_pickle_still_restores(self, monkeypatch):
         jobs = _jobs(600)
         engine, capacity = _crashed_engine(jobs, EDFScheduler, at_event=500)
-        snapshot = engine.kernel.snapshot()
-        jids = engine.kernel.table.jid.tolist()
+        snapshot = engine.snapshot()
+        jids = engine.table.jid.tolist()
         legacy = pickle.loads(_schema2_pickle(snapshot, jids, monkeypatch))
         assert legacy.schema == 2 and isinstance(legacy.status, dict)
         assert legacy.rows == snapshot.rows
@@ -267,7 +265,7 @@ class TestPickledForm:
     def test_restore_rejects_row_count_mismatch(self):
         jobs = _jobs(300)
         engine, capacity = _crashed_engine(jobs, EDFScheduler, at_event=200)
-        snapshot = engine.kernel.snapshot()
+        snapshot = engine.snapshot()
         fresh = SimulationEngine(jobs[:-1], capacity, EDFScheduler())
         with pytest.raises(RecoveryError, match="covers"):
             fresh.restore(snapshot)
