@@ -328,9 +328,6 @@ def test_perf_columnar_artifact(paper_instance, archive):
         "",
         f"EDF value      {edf_val!r}  (bit-identical: {edf_val == pre['edf_value']})",
         f"V-Dover value  {vdo_val!r}  (bit-identical: {vdo_val == pre['vdover_value']})",
-        "",
-        "Machine-readable twin: results/BENCH_kernel.json (regenerated by",
-        "the tier-1 perf_smoke marker and uploaded as a CI artifact).",
     ]
     archive("engine_perf_columnar", "\n".join(lines))
     # Honest floor only — wall-clock on shared runners is noisy; the

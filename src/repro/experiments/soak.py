@@ -12,7 +12,8 @@ through :class:`~repro.service.ingress.ServiceIngress` into a live
   (start faults from :mod:`repro.faults.execution`),
 * **ingress fault injections** push extra recorded kills/evictions, and
 * **forced kernel crashes** (≥ 5 across the fleet by default) drive the
-  supervisor's snapshot-restore → WAL-replay → op-log restart ladder,
+  supervisor's restart ladder: snapshot restore, op-log re-apply and a
+  journal-verified re-dispatch,
 * plus a sprinkle of deliberately malformed lines that must bounce off
   the ingress without hurting anybody.
 
@@ -498,15 +499,20 @@ class Kill9Report:
                         f"{tenant}: {key} diverged across the drain "
                         f"boundary ({a.get(key)} -> {b.get(key)})"
                     )
-            # SLO parity: the windowed tracker must round-trip the
-            # drain → kill -9 → cold-start boundary exactly (modulo the
-            # counters a cold start legitimately bumps and wall-clock
-            # fsync latencies — slo_parity_view strips those).
+            # SLO parity: the durable decision counters and the window
+            # ring must round-trip the drain → kill -9 → cold-start
+            # boundary exactly (slo_parity_view).  A drain persists last,
+            # so the depth gauge must also come back as it was.
             slo_a, slo_b = a.get("slo"), b.get("slo")
             if slo_a and slo_b:
                 if slo_parity_view(slo_a) != slo_parity_view(slo_b):
                     out.append(
                         f"{tenant}: SLO snapshot diverged across the "
+                        "drain/cold-start boundary"
+                    )
+                if slo_a.get("gauges") != slo_b.get("gauges"):
+                    out.append(
+                        f"{tenant}: SLO gauges diverged across the "
                         "drain/cold-start boundary"
                     )
             elif slo_a or slo_b:

@@ -10,7 +10,9 @@ survive a ``kill -9``: this module reconstructs the path from the tenant
 store alone (no live process required), optionally enriched by a
 lifecycle trace export.
 
-The reconstruction reads, per tenant directory:
+The reconstruction reads, per tenant directory and through
+:class:`~repro.store.tenant.TenantStoreReader` (read-only: the store may
+belong to a live daemon, so nothing is truncated, removed or created):
 
 * the **snapshot payload** — the dedup map (rid → outcome), the
   rid → jid index and the shed records, which survive op-log
@@ -27,12 +29,21 @@ The reconstruction reads, per tenant directory:
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ObservabilityError
 
 __all__ = ["correlate_request", "render_request_trace"]
+
+#: The request outcome each op-log record kind stands for.
+_OP_OUTCOMES = {
+    "admit": "accepted",
+    "shed": "shed",
+    "push": "injected",
+    "crash_mark": "crash",
+}
 
 
 def _event_kind_name(kind: int) -> str:
@@ -62,102 +73,98 @@ def _tenant_dirs(store_dir: Path, tenant: Optional[str]) -> List[Path]:
 def _scan_tenant_store(
     tenant_dir: Path, rid: str
 ) -> Optional[Dict[str, Any]]:
-    """One tenant's view of a request id, from disk alone."""
-    from repro.store.tenant import TenantStore
+    """One tenant's view of a request id, from disk alone (read-only: a
+    live daemon may be writing the store)."""
+    from repro.store.tenant import TenantStoreReader
 
-    store = TenantStore(tenant_dir, fsync=False)
-    try:
-        stages: List[Dict[str, Any]] = []
-        outcome: Optional[str] = None
-        jid: Optional[int] = None
-        snapshot_sheds: List[Dict[str, Any]] = []
+    store = TenantStoreReader(tenant_dir)
+    stages: List[Dict[str, Any]] = []
+    outcome: Optional[str] = None
+    jid: Optional[int] = None
+    recoveries: Optional[int] = None
+    snapshot_sheds: List[Dict[str, Any]] = []
 
-        loaded = store.load_snapshot()
-        if loaded is not None:
-            payload, _anchor = loaded
-            if isinstance(payload, dict):
-                dedup = payload.get("dedup") or {}
-                if rid in dedup:
-                    outcome = str(dedup[rid])
-                rid_jids = payload.get("rid_jids") or {}
-                if rid in rid_jids:
-                    jid = int(rid_jids[rid])
-                snapshot_sheds = payload.get("shed") or []
+    loaded = store.load_snapshot()
+    if loaded is not None:
+        payload, _anchor = loaded
+        if isinstance(payload, dict):
+            dedup = payload.get("dedup") or {}
+            if rid in dedup:
+                outcome = str(dedup[rid])
+            rid_jids = payload.get("rid_jids") or {}
+            if rid in rid_jids:
+                jid = int(rid_jids[rid])
+            snapshot_sheds = payload.get("shed") or []
+            recoveries = int(payload.get("recoveries", 0))
 
-        for seq, doc in store.ops():
-            if doc.get("rid") != rid:
-                continue
-            op = str(doc.get("op"))
-            stage: Dict[str, Any] = {"stage": "admission", "op": op, "seq": seq}
-            if op == "admit":
-                job = doc.get("job") or {}
-                jid = int(job.get("jid", -1))
-                stage.update(
-                    jid=jid,
-                    release=job.get("release"),
-                    deadline=job.get("deadline"),
-                    value=job.get("value"),
-                    dc=doc.get("dc"),
+    for seq, doc in store.ops():
+        if doc.get("rid") != rid:
+            continue
+        op = str(doc.get("op"))
+        stage: Dict[str, Any] = {"stage": "admission", "op": op, "seq": seq}
+        if op == "admit":
+            job = doc.get("job") or {}
+            jid = int(job.get("jid", -1))
+            stage.update(
+                jid=jid,
+                release=job.get("release"),
+                deadline=job.get("deadline"),
+                value=job.get("value"),
+                dc=doc.get("dc"),
+            )
+        elif op == "shed":
+            rec = doc.get("rec") or {}
+            jid = int(rec.get("jid", -1))
+            stage.update(
+                jid=jid, reason=rec.get("reason"), time=rec.get("time")
+            )
+        elif op == "push":
+            stage.update(time=doc.get("time"), payload=doc.get("payload"))
+        outcome = outcome or _OP_OUTCOMES.get(op)
+        stages.append(stage)
+
+    if outcome is None and not stages:
+        return None
+
+    if outcome == "shed" and not stages:
+        # The shed op record was compacted behind the snapshot.
+        for rec in snapshot_sheds:
+            if rec.get("jid") == jid:
+                stages.append(
+                    {
+                        "stage": "admission",
+                        "op": "shed",
+                        "jid": jid,
+                        "reason": rec.get("reason"),
+                        "time": rec.get("time"),
+                    }
                 )
-                outcome = outcome or "accepted"
-            elif op == "shed":
-                rec = doc.get("rec") or {}
-                jid = int(rec.get("jid", -1))
-                stage.update(
-                    jid=jid,
-                    reason=rec.get("reason"),
-                    time=rec.get("time"),
-                )
-                outcome = outcome or "shed"
-            elif op == "push":
-                stage.update(
-                    time=doc.get("time"), payload=doc.get("payload")
-                )
-                outcome = outcome or "injected"
-            elif op == "crash_mark":
-                outcome = outcome or "crash"
-            stages.append(stage)
-
-        if outcome is None and not stages:
-            return None
-
-        if outcome == "shed" and not stages:
-            # The shed op record was compacted behind the snapshot.
-            for rec in snapshot_sheds:
-                if rec.get("jid") == jid:
-                    stages.append(
-                        {
-                            "stage": "admission",
-                            "op": "shed",
-                            "jid": jid,
-                            "reason": rec.get("reason"),
-                            "time": rec.get("time"),
-                        }
-                    )
-                    break
-        if jid is not None and jid >= 0:
-            stages.extend(_journal_stages(store, jid))
-        return {
-            "tenant": tenant_dir.name,
-            "jid": jid,
-            "outcome": outcome,
-            "stages": stages,
-        }
-    finally:
-        store.close()
+                break
+    if jid is not None and jid >= 0:
+        stages.extend(_journal_stages(store, jid))
+    return {
+        "tenant": tenant_dir.name,
+        "jid": jid,
+        "outcome": outcome,
+        "recoveries": recoveries,
+        "stages": stages,
+    }
 
 
 def _journal_stages(store, jid: int) -> List[Dict[str, Any]]:
     """Dispatch records for a jid from the kernel journal: a legacy
     ``wal.jsonl`` not yet imported, else the store's ``journal/``."""
-    from repro.sim.journal import EventJournal
+    from repro.sim.journal import EventJournal, JournalRecord
 
     try:
         legacy = store.legacy_wal
         if legacy is not None:
             records = EventJournal.load(legacy).records
         else:
-            records = EventJournal.open(store.journal_log).records
+            records = [
+                JournalRecord(**json.loads(payload))
+                for payload in store.journal_payloads()
+            ]
     except Exception:  # noqa: BLE001 - a missing stage, not a crash
         return []
     key = f"jid:{jid}"
@@ -253,7 +260,7 @@ def correlate_request(
             result["jid"] = hit["jid"]
             result["outcome"] = hit["outcome"]
             result["stages"].extend(hit["stages"])
-            result["recoveries"] = _tenant_recoveries(tenant_dir)
+            result["recoveries"] = hit["recoveries"]
             break
     if trace is not None:
         stages = _trace_stages(trace, rid, result["jid"])
@@ -267,22 +274,6 @@ def correlate_request(
                         result["outcome"] = outcome
                         break
     return result
-
-
-def _tenant_recoveries(tenant_dir: Path) -> Optional[int]:
-    from repro.store.tenant import TenantStore
-
-    store = TenantStore(tenant_dir, fsync=False)
-    try:
-        loaded = store.load_snapshot()
-        if loaded is None:
-            return None
-        payload, _ = loaded
-        if isinstance(payload, dict):
-            return int(payload.get("recoveries", 0))
-        return None
-    finally:
-        store.close()
 
 
 def render_request_trace(result: Mapping[str, Any]) -> str:

@@ -14,14 +14,14 @@ in :mod:`repro.service`):
   ``slots`` buckets are retained, and two rings over the same geometry
   merge **exactly** (same JSON snapshot whether observations were
   counted in one process or across a crash-resume boundary).
-* :class:`SloTracker` — one tenant's SLO state: monotone decision
-  counters, the window ring, a queue-depth gauge and a wall-clock fsync
-  latency histogram.  ``snapshot()``/``restore()`` round-trip through
+* :class:`SloTracker` — one tenant's SLO state: a
+  :class:`~repro.obs.metrics.MetricsRegistry` (decision counters, a
+  queue-depth gauge, a wall-clock fsync histogram) plus the window ring
+  over its decisions.  ``snapshot()``/``restore()`` round-trip through
   JSON so the tracker rides the TenantStore snapshot payload and
-  survives ``kill -9``; :func:`slo_parity_view` strips the fields that
-  *legitimately* differ across a restart (recovery/cold-start counts,
-  wall-clock latencies) so drain-vs-cold-start audits compare the rest
-  for equality.
+  survives ``kill -9``; :func:`slo_parity_view` keeps the part a cold
+  start rebuilds from the op log (durable decision counters and the
+  ring) so drain-vs-cold-start audits compare it for equality.
 * Exposition renderers — :func:`render_prometheus` (text format 0.0.4)
   over a fleet scrape, :func:`lint_prometheus` (a strict format checker
   CI runs against live scrapes), and :func:`render_top` (the
@@ -39,6 +39,7 @@ import re
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ObservabilityError
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "WindowRing",
@@ -151,125 +152,88 @@ class WindowRing:
         self._prune()
 
 
-#: SLO counters that legitimately differ across a restart boundary —
-#: a cold start *is* one more recovery — and are therefore excluded
-#: from the drain/cold-start parity comparison.
-_NON_PARITY_COUNTERS = ("recoveries", "cold_starts")
+#: SLO counters a restart boundary legitimately changes and that are
+#: therefore outside the drain/cold-start parity domain: a cold start *is*
+#: one more recovery, and redeliveries (``duplicates``) are acked, never
+#: written to the op log, so a cold start cannot recount them.
+_NON_DURABLE_COUNTERS = ("recoveries", "cold_starts", "duplicates")
 
 
 class SloTracker:
-    """One tenant's service-level accounting, durable and mergeable.
+    """One tenant's service-level accounting: a :class:`MetricsRegistry`
+    plus the :class:`WindowRing` over its decision counters.
 
-    Decision-plane state only: the tracker counts what the *service*
-    decided (submissions, admissions, sheds by reason, injected faults,
-    crashes survived).  Kernel-derived SLO facts (completions, deadline
-    misses, attained value) are **not** tracked incrementally — they are
-    a pure function of the kernel trace and are computed on demand at
-    scrape time (:meth:`repro.service.shard.TenantShard.slo_view`), so a
-    snapshot restore can never double-count them.
+    The registry counts what the service decided (``admitted``, ``shed``
+    and ``shed.<reason>``, ``injected.<op>``, ``crashes``) and what
+    happened to the process (``duplicates``, ``recoveries``,
+    ``cold_starts``), samples the ``depth`` gauge (admission backlog) and
+    times the durability points in the ``fsync`` histogram (wall clock).
+    Kernel facts (completions, deadline misses, attained value) are not
+    tracked: :meth:`repro.service.shard.TenantShard.slo_view` derives
+    them from the kernel trace at scrape time, so a snapshot restore can
+    never double-count them.
     """
 
-    SCHEMA = 1
+    SCHEMA = 2
 
     def __init__(self, tenant: str, horizon: float, slots: int = 16) -> None:
         self.tenant = tenant
-        self.counters: Dict[str, float] = {}
+        self.registry = MetricsRegistry()
         self.ring = WindowRing(max(float(horizon), 1e-9) / slots, slots)
-        self.depth_last = 0
-        self.depth_hwm = 0
-        # Wall-clock fsync latency (seconds): op-log + WAL durability
-        # points.  Excluded from parity — wall time is not replayable.
-        self.fsync = {"count": 0, "sum": 0.0, "min": None, "max": None}
 
-    # -- feeding ---------------------------------------------------------
-    def count(self, name: str, n: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + n
+    def observe(self, t: Optional[float], name: str) -> None:
+        """Count one ``name`` decision and land it in the ring at ``t``
+        (a decision without a recorded time is counted, not windowed)."""
+        self.registry.counter(name).inc()
+        if t is not None:
+            self.ring.observe(t, name)
 
-    def observe(self, t: float, name: str, n: float = 1.0) -> None:
-        """Count ``name`` and land it in the window ring at time ``t``."""
-        self.count(name, n)
-        self.ring.observe(t, name, n)
-
-    def set_depth(self, depth: int) -> None:
-        self.depth_last = int(depth)
-        if depth > self.depth_hwm:
-            self.depth_hwm = int(depth)
-
-    def observe_fsync(self, seconds: float) -> None:
-        h = self.fsync
-        h["count"] += 1
-        h["sum"] += float(seconds)
-        h["min"] = seconds if h["min"] is None else min(h["min"], seconds)
-        h["max"] = seconds if h["max"] is None else max(h["max"], seconds)
-
-    # -- snapshot / restore / merge --------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-safe image (sorted keys; rides the TenantStore payload)."""
+        """JSON-safe image (rides the TenantStore payload): the ring plus
+        exactly :meth:`MetricsRegistry.snapshot`."""
         return {
             "schema": self.SCHEMA,
             "tenant": self.tenant,
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
             "ring": self.ring.snapshot(),
-            "depth": {"last": self.depth_last, "hwm": self.depth_hwm},
-            "fsync": dict(self.fsync),
+            **self.registry.snapshot(),
         }
 
     @classmethod
     def restore(cls, doc: Mapping[str, Any]) -> "SloTracker":
-        ring_doc = doc["ring"]
-        tracker = cls.__new__(cls)
-        tracker.tenant = str(doc.get("tenant", "?"))
-        tracker.counters = {
-            str(k): float(v) for k, v in (doc.get("counters") or {}).items()
-        }
-        tracker.ring = WindowRing.restore(ring_doc)
-        depth = doc.get("depth") or {}
-        tracker.depth_last = int(depth.get("last", 0))
-        tracker.depth_hwm = int(depth.get("hwm", 0))
-        fsync = doc.get("fsync") or {}
-        tracker.fsync = {
-            "count": int(fsync.get("count", 0)),
-            "sum": float(fsync.get("sum", 0.0)),
-            "min": fsync.get("min"),
-            "max": fsync.get("max"),
-        }
+        """Rebuild from :meth:`snapshot` output, or from the schema-1
+        document older stores hold (float ``counters`` plus ``depth``
+        and ``fsync`` blocks)."""
+        tracker = cls(str(doc.get("tenant", "?")), 1.0)
+        tracker.ring = WindowRing.restore(doc["ring"])
+        if doc.get("schema") != cls.SCHEMA:
+            fsync = doc.get("fsync") or {}
+            doc = {
+                "counters": {k: int(v) for k, v in doc["counters"].items()},
+                "gauges": {"depth": doc["depth"]},
+                "histograms": {"fsync": fsync} if fsync.get("count") else {},
+            }
+        tracker.registry.merge(doc)
         return tracker
-
-    def merge(self, other: "SloTracker") -> None:
-        """Exact fold (streaming-aggregation style: counters add, rings
-        merge bucket-wise, gauges keep the high-water mark, histograms
-        pool)."""
-        for name, value in other.counters.items():
-            self.count(name, value)
-        self.ring.merge(other.ring)
-        self.depth_last = other.depth_last
-        self.depth_hwm = max(self.depth_hwm, other.depth_hwm)
-        o = other.fsync
-        if o["count"]:
-            h = self.fsync
-            h["count"] += o["count"]
-            h["sum"] += o["sum"]
-            h["min"] = o["min"] if h["min"] is None else min(h["min"], o["min"])
-            h["max"] = o["max"] if h["max"] is None else max(h["max"], o["max"])
 
 
 def slo_parity_view(doc: Mapping[str, Any]) -> Dict[str, Any]:
     """The restart-invariant projection of an SLO snapshot.
 
-    Drops wall-clock data (fsync latencies) and the counters that a cold
-    start legitimately bumps (``recoveries``, ``cold_starts``); what is
-    left must be *equal* across a drain → ``kill -9`` → cold-start
-    boundary — the soak harness asserts exactly that.
+    Keeps the durable decision counters and the window ring; drops the
+    counters a restart changes (:data:`_NON_DURABLE_COUNTERS`), the
+    gauges (a sample of the live backlog, not a decision) and the
+    histograms (wall clock).  What is left is a pure function of the op
+    log, so it must be *equal* across a ``kill -9`` → cold-start
+    boundary, wherever the last durable snapshot fell.
     """
     counters = {
         k: v
         for k, v in (doc.get("counters") or {}).items()
-        if k not in _NON_PARITY_COUNTERS
+        if k not in _NON_DURABLE_COUNTERS
     }
     return {
         "counters": dict(sorted(counters.items())),
         "ring": doc.get("ring"),
-        "depth": doc.get("depth"),
     }
 
 
@@ -338,13 +302,17 @@ def _fmt_value(value: Any) -> str:
     return repr(x)
 
 
+def _instrument(slo: Mapping[str, Any], kind: str, name: str) -> Mapping:
+    """One instrument of an SLO document (``{}`` until first observed)."""
+    return (slo.get(kind) or {}).get(name) or {}
+
+
 def _tenant_samples(entry: Mapping[str, Any]) -> Dict[str, float]:
     """Flatten one scrape entry into ``{metric_name: value}``."""
     stats = entry.get("stats") or {}
     slo = entry.get("slo") or {}
     live = slo.get("live") or {}
-    counters = slo.get("counters") or {}
-    depth = slo.get("depth") or {}
+    depth = _instrument(slo, "gauges", "depth")
     return {
         "repro_submitted_total": stats.get("submitted", 0),
         "repro_accepted_total": stats.get("accepted", 0),
@@ -356,9 +324,7 @@ def _tenant_samples(entry: Mapping[str, Any]) -> Dict[str, float]:
         "repro_deadline_miss_rate": live.get("miss_rate", 0.0),
         "repro_attained_value": live.get("attained_value", 0.0),
         "repro_value_per_capacity": live.get("value_per_capacity", 0.0),
-        "repro_queue_depth": live.get(
-            "depth", depth.get("last", counters.get("depth", 0))
-        ),
+        "repro_queue_depth": live.get("depth", depth.get("last", 0)),
         "repro_queue_depth_hwm": depth.get("hwm", 0),
         "repro_frontier_seconds": stats.get(
             "frontier", live.get("frontier", 0.0)
@@ -428,11 +394,12 @@ def render_prometheus(fleet: Mapping[str, Mapping[str, Any]]) -> str:
     # Journal/op-log fsync latency (wall clock; summary-style).
     lines.append(
         "# HELP repro_fsync_latency_seconds Wall-clock fsync latency of "
-        "the durability points (op log + WAL)."
+        "the durability points (op log + journal)."
     )
     lines.append("# TYPE repro_fsync_latency_seconds summary")
     for tenant in tenants:
-        fsync = (fleet[tenant].get("slo") or {}).get("fsync") or {}
+        slo = fleet[tenant].get("slo") or {}
+        fsync = _instrument(slo, "histograms", "fsync")
         label = _escape_label(tenant)
         lines.append(
             'repro_fsync_latency_seconds_count{tenant="%s"} %s'
@@ -568,7 +535,7 @@ def render_top(
         stats = entry.get("stats") or {}
         slo = entry.get("slo") or {}
         live = slo.get("live") or {}
-        depth = slo.get("depth") or {}
+        depth = _instrument(slo, "gauges", "depth")
         miss = 100.0 * float(live.get("miss_rate", 0.0))
         cells = (
             tenant,
@@ -577,7 +544,7 @@ def render_top(
             str(stats.get("accepted", 0)),
             str(stats.get("shed", 0)),
             str(live.get("depth", depth.get("last", 0))),
-            str(depth.get("hwm", 0)),
+            str(int(depth.get("hwm", 0))),
             f"{miss:.1f}",
             f"{float(live.get('attained_value', 0.0)):.1f}",
             f"{float(live.get('value_per_capacity', 0.0)):.2f}",

@@ -47,7 +47,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,6 +95,9 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+
+#: A client request id (``None`` for rid-less messages).
+Rid = Optional[str]
 
 
 def _scheduler_factories() -> Dict[str, Any]:
@@ -498,19 +501,10 @@ class TenantShard:
         return len(self._accepted) - len(self.kernel.trace.outcomes)
 
     @property
-    def accepted_count(self) -> int:
-        return len(self._accepted)
-
-    @property
     def shed_count(self) -> int:
         return len(self._shed)
 
-    # -- metrics helpers ------------------------------------------------
-    def _count(self, name: str, n: int = 1) -> None:
-        octx = _obs.current()
-        if octx is not None:
-            octx.metrics.counter(name).inc(n)
-
+    # -- durability points ----------------------------------------------
     def _durable(self, write, *args) -> None:
         """Run one durability point, timing it into the SLO fsync
         histogram when telemetry is on (wall clock — never in the replay
@@ -520,7 +514,7 @@ class TenantShard:
             return
         t0 = perf_counter()
         write(*args)
-        self._slo.observe_fsync(perf_counter() - t0)
+        self._slo.registry.histogram("fsync").observe(perf_counter() - t0)
 
     def _append_ops(self, docs: Sequence[Mapping[str, Any]]) -> None:
         self._durable(self._store.append_ops, docs)
@@ -532,48 +526,98 @@ class TenantShard:
         if self._store.fsync:
             self._durable(self._journal.flush)
 
-    def _note_request(
+    # ------------------------------------------------------------------
+    # The decision fold: each decided op kind updates the books (accepted
+    # and shed lists, injected pushes, the re-apply op list, forced
+    # crashes, dedup and rid -> jid maps, SLO tracker) in exactly one
+    # method.  The live handler calls it once the op is durable and the
+    # kernel has it; the cold start calls it for every op-log record past
+    # the snapshot anchor — so both paths keep the same books.
+    # ------------------------------------------------------------------
+    def _fold_admit(self, dc: int, job: Job, doc: dict, rid: Rid) -> None:
+        self._ops.append((dc, "admit", job))
+        self._accepted.append(job)
+        self._accepted_jids.add(job.jid)
+        self._accepted_docs.append(doc)
+        self._fold_decision(rid, job.jid, "accepted", job.release, "admitted")
+
+    def _fold_shed(self, rec: ShedRecord, rid: Rid) -> None:
+        self._shed.append(rec)
+        self._fold_decision(
+            rid, rec.jid, "shed", rec.time, "shed", "shed." + rec.reason
+        )
+
+    def _fold_push(
+        self, dc: int, time: float, payload: tuple, rid: Rid
+    ) -> None:
+        self._injected.append((time, payload))
+        self._ops.append((dc, "push", (time, payload)))
+        self._fold_decision(
+            rid, None, "injected", time, "injected." + payload[0]
+        )
+
+    def _fold_crash_mark(self, time: Optional[float], rid: Rid) -> None:
+        self._forced_crashes += 1
+        self._fold_decision(rid, None, "crash", time, "crashes")
+
+    def _fold_decision(
         self,
-        rid: "str | None",
+        rid: Rid,
         jid: Optional[int],
         outcome: str,
-        time: float,
+        time: Optional[float],
+        *counters: str,
     ) -> None:
-        """Record a request id's decision: dedup outcome, rid → jid
-        correlation index, and a lifecycle (never replay) trace event."""
-        if rid is None:
-            return
-        self._dedup[rid] = outcome
-        if jid is not None:
-            self._rid_jid[rid] = int(jid)
-        octx = _obs.current()
-        if octx is not None:
-            data: Dict[str, Any] = {
-                "rid": rid,
-                "tenant": self.tenant,
-                "outcome": outcome,
-            }
+        """The books every decision kind keeps: the rid's dedup outcome
+        and rid -> jid index entry, and the SLO decision counters."""
+        if rid is not None:
+            self._dedup[rid] = outcome
             if jid is not None:
-                data["jid"] = int(jid)
-            octx.emit("service.request", float(time), data, replay=False)
-
-    def _journal_shed(self, records: Sequence[ShedRecord]) -> None:
-        if not records:
-            return
-        self._shed.extend(records)
+                self._rid_jid[rid] = int(jid)
         if self._slo is not None:
-            for record in records:
-                self._slo.observe(record.time, "shed")
-                self._slo.observe(record.time, "shed." + record.reason)
-        octx = _obs.current()
-        if octx is None:
-            return
-        for record in records:
-            octx.metrics.counter("service.shed").inc()
-            octx.metrics.counter("service.shed." + record.reason).inc()
-            octx.emit(
-                "service.shed", record.time, record.to_dict(), replay=False
+            for name in counters:
+                self._slo.observe(time, name)
+
+    def _fold_op(self, doc: Mapping[str, Any]) -> None:
+        """Fold one op-log record into the books (cold start)."""
+        op, rid = doc.get("op"), doc.get("rid")
+        if op == "admit":
+            job = Job(**doc["job"])
+            self._fold_admit(int(doc["dc"]), job, _job_to_dict(job), rid)
+        elif op == "push":
+            time, payload = float(doc["time"]), tuple(doc["payload"])
+            self._fold_push(int(doc["dc"]), time, payload, rid)
+        elif op == "shed":
+            self._fold_shed(ShedRecord(**doc["rec"]), rid)
+        elif op == "crash_mark":
+            when = doc.get("time")  # absent from older crash marks
+            self._fold_crash_mark(None if when is None else float(when), rid)
+        else:
+            raise RecoveryError(
+                f"tenant {self.tenant!r}: unknown op record {op!r} "
+                "in the op log"
             )
+
+    def _fold_recovery(self, *, cold: bool) -> None:
+        self._recoveries += 1
+        if self._slo is not None:
+            self._slo.registry.counter("recoveries").inc()
+            if cold:
+                self._slo.registry.counter("cold_starts").inc()
+
+    # -- lifecycle trace events (live decisions only) --------------------
+    def _emit_request(
+        self, rid: Rid, jid: Optional[int], outcome: str, time: float
+    ) -> None:
+        octx = _obs.current()
+        if rid is None or octx is None:
+            return
+        data: Dict[str, Any] = {
+            "rid": rid, "tenant": self.tenant, "outcome": outcome
+        }
+        if jid is not None:
+            data["jid"] = int(jid)
+        octx.emit("service.request", float(time), data, replay=False)
 
     # ------------------------------------------------------------------
     # Message handling (synchronous, deterministic; may raise
@@ -610,7 +654,7 @@ class TenantShard:
         return result
 
     # -- idempotency ----------------------------------------------------
-    def dedup_outcome(self, rid: "str | None") -> Optional[str]:
+    def dedup_outcome(self, rid: Rid) -> Optional[str]:
         """The recorded outcome for a request id, if already decided
         (``"pending"`` while its contention group is still buffered)."""
         if rid is None:
@@ -621,13 +665,12 @@ class TenantShard:
             return "pending"
         return None
 
-    def _duplicate_ack(self, rid: "str | None") -> Optional[Dict[str, Any]]:
+    def _duplicate_ack(self, rid: Rid) -> Optional[Dict[str, Any]]:
         outcome = self.dedup_outcome(rid)
         if outcome is None:
             return None
-        self._count("service.duplicates")
         if self._slo is not None:
-            self._slo.count("duplicates")
+            self._slo.registry.counter("duplicates").inc()
         return {"duplicate": True, "outcome": outcome}
 
     def _take_rid(self, jid: int) -> Optional[str]:
@@ -643,7 +686,7 @@ class TenantShard:
         return rid
 
     def submit(
-        self, job: Job, rid: "str | None" = None
+        self, job: Job, rid: Rid = None
     ) -> Optional[Dict[str, Any]]:
         """Buffer one submission into the current contention group.
 
@@ -656,7 +699,6 @@ class TenantShard:
         if dup is not None:
             return dup
         self._submitted += 1
-        self._count("service.submitted")
         if self._pending and self._pending[0].release != job.release:
             self._flush_pending()
         self._pending.append(job)
@@ -676,7 +718,7 @@ class TenantShard:
         time: float,
         *,
         retain: float = 0.0,
-        rid: "str | None" = None,
+        rid: Rid = None,
     ) -> Optional[Dict[str, Any]]:
         """Inject one execution fault at virtual ``time``.
 
@@ -697,15 +739,12 @@ class TenantShard:
         kernel = self.kernel
         if op == "crash":
             kernel.run_until(time)
-            self._forced_crashes += 1
-            self._count("service.injected.crash")
-            if self._slo is not None:
-                self._slo.observe(time, "crashes")
             if self._store is not None:
                 self._append_ops(
                     [{"op": "crash_mark", "time": time, "rid": rid}]
                 )
-            self._note_request(rid, None, "crash", time)
+            self._fold_crash_mark(time, rid)
+            self._emit_request(rid, None, "crash", time)
             raise SimulatedCrash(
                 time=kernel.now,
                 at_event=None,
@@ -741,12 +780,8 @@ class TenantShard:
                 ]
             )
         kernel.push_fault_event(time, payload)
-        self._injected.append((time, payload))
-        self._ops.append((dc, "push", (time, payload)))
-        if self._slo is not None:
-            self._slo.observe(time, "injected." + op)
-        self._note_request(rid, None, "injected", time)
-        self._count("service.injected." + op)
+        self._fold_push(dc, time, payload, rid)
+        self._emit_request(rid, None, "injected", time)
         return None
 
     def close(self) -> TenantReport:
@@ -754,7 +789,6 @@ class TenantShard:
         self._flush_pending()
         self._result = self._engine.run()
         self._closed = True
-        self._count("service.closed")
         return self.report()
 
     def report(self) -> TenantReport:
@@ -801,71 +835,66 @@ class TenantShard:
         shed_rids = [self._take_rid(rec.jid) for rec in shed]
         dc = kernel.dispatch_count
         job_docs = [_job_to_dict(job) for job in admit]
-        if self._store is not None:
-            docs = [
+        self._shed_decided(
+            shed,
+            shed_rids,
+            (
                 {"op": "admit", "dc": dc, "job": doc, "rid": rid}
                 for doc, rid in zip(job_docs, admit_rids)
-            ] + [
-                {"op": "shed", "rec": rec.to_dict(), "rid": rid}
-                for rec, rid in zip(shed, shed_rids)
-            ]
-            if docs:
-                self._append_ops(docs)
-        self._journal_shed(shed)
-        for rec, rid in zip(shed, shed_rids):
-            self._note_request(rid, rec.jid, "shed", rec.time)
+            ),
+        )
         for job, doc, rid in zip(admit, job_docs, admit_rids):
-            self._ops.append((dc, "admit", job))
             kernel.admit_job(job)
-            self._accepted.append(job)
-            self._accepted_jids.add(job.jid)
-            self._accepted_docs.append(doc)
-            if self._slo is not None:
-                self._slo.observe(job.release, "admitted")
-            self._note_request(rid, job.jid, "accepted", release)
+            self._fold_admit(dc, job, doc, rid)
+            self._emit_request(rid, job.jid, "accepted", release)
         if self._slo is not None:
-            self._slo.set_depth(self.depth)
-        self._count("service.admitted", len(admit))
+            self._slo.registry.gauge("depth").set(self.depth)
 
-    def _log_shed_ops(
+    def _shed_decided(
         self,
         records: Sequence[ShedRecord],
-        rids: Sequence[Optional[str]],
+        rids: Sequence[Rid],
+        admit_docs: Iterable[Dict[str, Any]] = (),
     ) -> None:
-        if self._store is None or not records:
-            return
-        self._append_ops(
-            [
+        """Make shed decisions durable — after the group's ``admit_docs``
+        (built only with a store attached), in one op-log append — then
+        fold and trace them."""
+        if self._store is not None:
+            docs = [*admit_docs] + [
                 {"op": "shed", "rec": rec.to_dict(), "rid": rid}
                 for rec, rid in zip(records, rids)
             ]
-        )
+            if docs:
+                self._append_ops(docs)
+        for rec, rid in zip(records, rids):
+            self._fold_shed(rec, rid)
+        octx = _obs.current()
+        if octx is None:
+            return
+        for rec in records:
+            octx.emit("service.shed", rec.time, rec.to_dict(), replay=False)
+        for rec, rid in zip(records, rids):
+            self._emit_request(rid, rec.jid, "shed", rec.time)
 
     def shed_all_pending(self, reason: str) -> None:
         """Shed the open group without admitting (degraded shard)."""
         if self._pending:
             batch, self._pending = self._pending, []
             records = self._admission.shed_all(batch, reason, self.kernel.now)
-            rids = [self._take_rid(rec.jid) for rec in records]
-            self._log_shed_ops(records, rids)
-            self._journal_shed(records)
-            for rec, rid in zip(records, rids):
-                self._note_request(rid, rec.jid, "shed", rec.time)
+            self._shed_decided(
+                records, [self._take_rid(rec.jid) for rec in records]
+            )
 
     def shed_one(
-        self, job: Job, reason: str, rid: "str | None" = None
+        self, job: Job, reason: str, rid: Rid = None
     ) -> Optional[Dict[str, Any]]:
         """Record one out-of-band shed decision (circuit-open path)."""
         dup = self._duplicate_ack(rid)
         if dup is not None:
             return dup
         self._submitted += 1
-        self._count("service.submitted")
         records = self._admission.shed_all([job], reason, self.kernel.now)
-        self._log_shed_ops(records, [rid])
-        self._journal_shed(records)
-        for rec in records:
-            self._note_request(rid, rec.jid, "shed", rec.time)
+        self._shed_decided(records, [rid])
         return None
 
     def stats(self) -> Dict[str, Any]:
@@ -937,10 +966,19 @@ class TenantShard:
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def _reapply_ops(self, engine: SimulationEngine, base: int) -> None:
-        """Re-apply, in order, the op records at or past dispatch
-        ``base``: the admissions and fault pushes a restored image (or a
-        fresh world, ``base`` 0) does not contain."""
+    def _restore_engine(self, snapshot: Optional[EngineSnapshot]) -> None:
+        """Install a fresh engine restored from ``snapshot`` (a fresh
+        world when None), then re-apply, in order, the op records at or
+        past its dispatch count: the admissions and fault pushes the
+        image does not contain."""
+        if snapshot is None:
+            engine = self._build_engine([])
+            engine.start()
+            base = 0
+        else:
+            engine = self._build_engine(self._accepted[: snapshot.rows])
+            engine.restore(snapshot)
+            base = snapshot.dispatch_count
         for dc, kind, data in self._ops:
             if dc < base:
                 continue
@@ -948,6 +986,7 @@ class TenantShard:
                 engine.admit_job(data)
             else:  # "push"
                 engine.push_fault_event(*data)
+        self._engine = engine
 
     def recover(self, crash: BaseException) -> None:
         """Restore the last periodic snapshot and re-apply the op log.
@@ -969,20 +1008,14 @@ class TenantShard:
                 f"tenant {self.tenant!r} crashed before the first "
                 "snapshot; nothing to restore from"
             ) from crash
-        engine = self._build_engine(self._accepted[: snapshot.rows])
-        engine.restore(snapshot)
+        self._restore_engine(snapshot)
+        self._fold_recovery(cold=False)
         base = snapshot.dispatch_count
-        self._reapply_ops(engine, base)
-        self._engine = engine
-        self._recoveries += 1
-        self._count("service.recoveries")
-        if self._slo is not None:
-            self._slo.count("recoveries")
         octx = _obs.current()
         if octx is not None:
             octx.emit(
                 "service.recover",
-                engine.now,
+                self._engine.now,
                 {
                     "tenant": self.tenant,
                     "snapshot_dispatch": base,
@@ -1056,21 +1089,20 @@ class TenantShard:
         self._sync_journal()
         self._store.write_snapshot(payload, op_seq=self._store.op_seq)
         self._persist_anchor = base
-        self._count("service.persisted")
 
     def _resume_from_store(self) -> None:
         """Cold start: rebuild the live shard from disk alone.
 
-        The snapshot payload carries everything decided up to its op-log
-        anchor; op records at or past the anchor are folded back in.
-        The engine restores from the pickled kernel image and re-applies
-        the post-snapshot op tail — exactly the in-process
-        :meth:`recover` dance, with the disk as the only witness."""
+        The snapshot payload carries the books up to its op-log anchor;
+        every op record at or past the anchor is folded back in through
+        the same per-op methods the live path decided it with.  The
+        engine restores from the pickled kernel image and re-applies the
+        post-snapshot op tail — exactly the in-process :meth:`recover`
+        dance, with the disk as the only witness."""
         store = self._store
         assert store is not None
         loaded = store.load_snapshot()
         snap: Optional[EngineSnapshot] = None
-        tail: List[Tuple[int, str, Any]] = []
         anchor_seq = 0
         if loaded is not None:
             payload, anchor_seq = loaded
@@ -1102,109 +1134,44 @@ class TenantShard:
                 if kind == "admit":
                     # Re-bind to the accepted-list Job so identity is
                     # shared between the admission record and the op.
-                    tail.append((int(dc), "admit", by_jid[int(data["jid"])]))
+                    op = (int(dc), "admit", by_jid[int(data["jid"])])
                 else:
-                    tail.append(
-                        (int(dc), "push", (float(data[0]), tuple(data[1])))
-                    )
+                    op = (int(dc), "push", (float(data[0]), tuple(data[1])))
+                self._ops.append(op)
 
-        outcome_by_op = {
-            "admit": "accepted",
-            "push": "injected",
-            "shed": "shed",
-            "crash_mark": "crash",
-        }
         for seq, doc in store.ops():
-            if seq < anchor_seq:
-                continue
-            op = str(doc.get("op"))
-            jid: Optional[int] = None
-            if op == "admit":
-                job = Job(**doc["job"])
-                jid = job.jid
-                self._accepted.append(job)
-                self._accepted_jids.add(job.jid)
-                self._accepted_docs.append(_job_to_dict(job))
-                tail.append((int(doc["dc"]), "admit", job))
-                if self._slo is not None:
-                    self._slo.observe(job.release, "admitted")
-            elif op == "push":
-                entry = (float(doc["time"]), tuple(doc["payload"]))
-                self._injected.append(entry)
-                tail.append((int(doc["dc"]), "push", entry))
-                if self._slo is not None:
-                    self._slo.observe(entry[0], "injected." + str(entry[1][0]))
-            elif op == "shed":
-                rec = ShedRecord(**doc["rec"])
-                jid = rec.jid
-                self._shed.append(rec)
-                if self._slo is not None:
-                    self._slo.observe(rec.time, "shed")
-                    self._slo.observe(rec.time, "shed." + rec.reason)
-            elif op == "crash_mark":
-                self._forced_crashes += 1
-                if self._slo is not None:
-                    when = doc.get("time")
-                    if when is None:  # pre-PR 10 op docs
-                        self._slo.count("crashes")
-                    else:
-                        self._slo.observe(float(when), "crashes")
-            else:
-                raise RecoveryError(
-                    f"tenant {self.tenant!r}: unknown op record {op!r} "
-                    "in the op log"
-                )
-            rid = doc.get("rid")
-            if rid:
-                self._dedup[str(rid)] = outcome_by_op[op]
-                if jid is not None:
-                    self._rid_jid[str(rid)] = int(jid)
+            if seq >= anchor_seq:
+                self._fold_op(doc)
 
         # Undecided buffering (pending groups) is never durable, so
         # every reconstructed submission is a decided one.
         self._submitted = len(self._accepted) + len(self._shed)
-        self._ops = list(tail)
 
-        if snap is None:
-            # Never persisted a snapshot: replay the whole op log onto a
-            # fresh world.  The journal's surviving records describe the
-            # run about to be regenerated; the kernel verifies it against
-            # them.
-            engine = self._build_engine([])
-            engine.start()
-            self._reapply_ops(engine, 0)
-        else:
-            if len(self._journal) < snap.dispatch_count:
-                raise RecoveryError(
-                    f"tenant {self.tenant!r}: the journal holds "
-                    f"{len(self._journal)} records but the snapshot was "
-                    f"cut at dispatch {snap.dispatch_count} — the journal "
-                    "tail was lost"
-                )
-            engine = self._build_engine(self._accepted[: snap.rows])
-            engine.restore(snap)
-            self._reapply_ops(engine, snap.dispatch_count)
-
-        self._engine = engine
-        self._recoveries += 1
+        # Without a snapshot the whole op log replays onto a fresh world;
+        # the journal's surviving records describe the run about to be
+        # regenerated, and the kernel verifies it against them.
+        if snap is not None and len(self._journal) < snap.dispatch_count:
+            raise RecoveryError(
+                f"tenant {self.tenant!r}: the journal holds "
+                f"{len(self._journal)} records but the snapshot was "
+                f"cut at dispatch {snap.dispatch_count} — the journal "
+                "tail was lost"
+            )
+        self._restore_engine(snap)
+        # The depth gauge keeps its persisted value: it samples the live
+        # backlog and is outside the restart parity domain.
+        self._fold_recovery(cold=True)
         self._persist_anchor = -1 if snap is None else snap.dispatch_count
-        if self._slo is not None:
-            # Depth gauge is deliberately *not* refreshed here: the
-            # restored values are the persisted ones, so drain → cold
-            # start round-trips the parity view bit-identically.
-            self._slo.count("recoveries")
-            self._slo.count("cold_starts")
-        self._count("service.cold_starts")
         octx = _obs.current()
         if octx is not None:
             octx.emit(
                 "service.cold_start",
-                engine.now,
+                self._engine.now,
                 {
                     "tenant": self.tenant,
                     "accepted": len(self._accepted),
                     "shed": len(self._shed),
-                    "ops_reapplied": len(tail),
+                    "ops_reapplied": len(self._ops),
                     "had_snapshot": snap is not None,
                 },
                 replay=False,

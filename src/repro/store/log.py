@@ -43,12 +43,12 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.store.directory import Directory, FileHandle
 
-__all__ = ["SegmentedLog"]
+__all__ = ["SegmentedLog", "read_log"]
 
 _MAGIC = b"RSG1"
 _HEADER = struct.Struct("<Q")  # first sequence number in the segment
@@ -58,6 +58,78 @@ _HEADER_LEN = len(_MAGIC) + _HEADER.size  # 12
 
 def _segment_name(first_seq: int) -> str:
     return f"log-{first_seq:012d}.seg"
+
+
+def _segment_names(directory: Directory) -> List[str]:
+    return sorted(
+        name
+        for name in directory.listdir()
+        if name.startswith("log-") and name.endswith(".seg")
+    )
+
+
+def _scan_frames(data: bytes) -> Tuple[List[bytes], int, str]:
+    """Parse frames after the header.
+
+    Returns ``(payloads, end_offset_of_last_good_frame, verdict)`` where
+    verdict is ``"clean"`` (ran to the end), ``"torn"`` (incomplete final
+    frame) or ``"corrupt"`` (CRC mismatch on a complete frame)."""
+    payloads: List[bytes] = []
+    offset = _HEADER_LEN
+    n = len(data)
+    while offset < n:
+        if offset + _FRAME.size > n:
+            return payloads, offset, "torn"
+        length, crc = _FRAME.unpack_from(data, offset)
+        end = offset + _FRAME.size + length
+        if end > n:
+            return payloads, offset, "torn"
+        payload = data[offset + _FRAME.size : end]
+        if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            return payloads, offset, "corrupt"
+        payloads.append(payload)
+        offset = end
+    return payloads, offset, "clean"
+
+
+def _scan_segments(
+    directory: Directory, names: List[str]
+) -> Iterator[Tuple[int, List[bytes], int, int, str]]:
+    """Walk the segment chain ``names`` in order, yielding ``(first_seq,
+    payloads, end, size, verdict)`` per segment: :func:`_scan_frames`'
+    verdict, or ``"broken"`` for a segment whose lineage cannot be
+    trusted (bad header, a gap or overlap in the sequence chain, a tear
+    in a segment a rotation had sealed).  The walk stops after the first
+    verdict that is not ``"clean"``: nothing after it is trusted."""
+    expected_seq: Optional[int] = None
+    for idx, name in enumerate(names):
+        data = directory.read_bytes(name)
+        if len(data) < _HEADER_LEN or data[: len(_MAGIC)] != _MAGIC:
+            yield -1, [], 0, len(data), "broken"
+            return
+        (first_seq,) = _HEADER.unpack_from(data, len(_MAGIC))
+        payloads, end, verdict = _scan_frames(data)
+        sealed = idx < len(names) - 1
+        if expected_seq not in (None, first_seq) or (
+            verdict == "torn" and sealed
+        ):
+            verdict = "broken"
+        yield first_seq, payloads, end, len(data), verdict
+        if verdict != "clean":
+            return
+        expected_seq = first_seq + len(payloads)
+
+
+def read_log(directory: Directory) -> List[Tuple[int, bytes]]:
+    """The records a :class:`SegmentedLog` open would keep, read without
+    any of its repairs (no ``.tmp`` removal, truncation, quarantine or
+    fresh segment) — for readers of a log a live process may append to."""
+    out: List[Tuple[int, bytes]] = []
+    names = _segment_names(directory)
+    for first_seq, payloads, _, _, verdict in _scan_segments(directory, names):
+        if verdict != "broken":
+            out.extend(enumerate(payloads, start=first_seq))
+    return out
 
 
 @dataclass
@@ -112,7 +184,7 @@ class SegmentedLog:
         from the segment files (the log keeps no payloads in memory)."""
         out: List[Tuple[int, bytes]] = []
         for seg in self._segments:
-            payloads, _end, _verdict = self._scan_frames(
+            payloads, _end, _verdict = _scan_frames(
                 self._dir.read_bytes(seg.name)
             )
             out.extend(enumerate(payloads, start=seg.first_seq))
@@ -123,59 +195,35 @@ class SegmentedLog:
 
     # -- recovery -------------------------------------------------------
     def _recover(self) -> None:
-        names = []
         for name in self._dir.listdir():
             if name.endswith(".seg.tmp"):
                 # A rotation died between create and rename: the tmp file
                 # was never part of the log.
                 self._dir.remove(name)
-                continue
-            if name.startswith("log-") and name.endswith(".seg"):
-                names.append(name)
-        names.sort()
+        names = _segment_names(self._dir)
 
-        expected_seq: Optional[int] = None
-        for idx, name in enumerate(names):
-            last = idx == len(names) - 1
-            data = self._dir.read_bytes(name)
-            if len(data) < _HEADER_LEN or data[: len(_MAGIC)] != _MAGIC:
+        segments = enumerate(_scan_segments(self._dir, names))
+        for idx, (first_seq, payloads, end, size, verdict) in segments:
+            name = names[idx]
+            if verdict == "broken":
+                # Everything from here on has suspect lineage.
                 self._quarantine(names[idx:])
                 break
-            (first_seq,) = _HEADER.unpack(
-                data[len(_MAGIC) : _HEADER_LEN]
-            )
-            if expected_seq is not None and first_seq != expected_seq:
-                # A gap or overlap in the sequence chain: everything from
-                # here on has suspect lineage.
-                self._quarantine(names[idx:])
-                break
-            if expected_seq is None:
+            if not self._segments:
                 self._base_seq = first_seq
-
-            payloads, end, verdict = self._scan_frames(data)
             if verdict == "corrupt":
                 # Set the bad segment aside, keep its good prefix under
                 # the original name, drop everything after it.
                 self._quarantine([name])
                 self._write_segment(name, first_seq, payloads)
-                self._segments.append(
-                    _Segment(name, first_seq, len(payloads))
-                )
-                self._count += len(payloads)
                 self._quarantine(names[idx + 1 :])
-                break
-            if verdict == "torn":
-                if not last:
-                    # A non-final segment was sealed by a rotation; a tear
-                    # inside one is not a crash signature but corruption.
-                    self._quarantine(names[idx:])
-                    break
-                self.truncated_bytes += len(data) - end
+            elif verdict == "torn":
+                # The crash signature: an incomplete final frame in the
+                # last segment.  Truncate back to the last good frame.
+                self.truncated_bytes += size - end
                 self._dir.truncate(name, end)
-                data = data[:end]
             self._segments.append(_Segment(name, first_seq, len(payloads)))
             self._count += len(payloads)
-            expected_seq = first_seq + len(payloads)
 
         if not self._segments:
             self._base_seq = 0
@@ -184,31 +232,6 @@ class SegmentedLog:
             seg = self._segments[-1]
             self._size = len(self._dir.read_bytes(seg.name))
             self._handle = self._dir.open_append(seg.name)
-
-    @staticmethod
-    def _scan_frames(data: bytes) -> Tuple[List[bytes], int, str]:
-        """Parse frames after the header.
-
-        Returns ``(payloads, end_offset_of_last_good_frame, verdict)``
-        where verdict is ``"clean"`` (ran to the end), ``"torn"``
-        (incomplete final frame) or ``"corrupt"`` (CRC mismatch on a
-        complete frame)."""
-        payloads: List[bytes] = []
-        offset = _HEADER_LEN
-        n = len(data)
-        while offset < n:
-            if offset + _FRAME.size > n:
-                return payloads, offset, "torn"
-            length, crc = _FRAME.unpack_from(data, offset)
-            end = offset + _FRAME.size + length
-            if end > n:
-                return payloads, offset, "torn"
-            payload = data[offset + _FRAME.size : end]
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                return payloads, offset, "corrupt"
-            payloads.append(payload)
-            offset = end
-        return payloads, offset, "clean"
 
     def _quarantine(self, names: List[str]) -> None:
         for name in names:

@@ -29,12 +29,12 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.store.directory import Directory
 
-__all__ = ["SnapshotStore"]
+__all__ = ["SnapshotStore", "read_snapshot"]
 
 _MAGIC = b"RSNP"
 _BLOCK = struct.Struct("<II")  # length, crc32
@@ -48,6 +48,18 @@ def _snap_name(seq: int) -> str:
 def _manifest_crc(doc: Dict) -> int:
     body = {k: v for k, v in sorted(doc.items()) if k != "crc"}
     return zlib.crc32(json.dumps(body, sort_keys=True).encode()) & 0xFFFFFFFF
+
+
+def _manifest_target(data: bytes) -> str:
+    """The snapshot file a ``MANIFEST`` image points at; raises
+    :class:`StorageError` (or ``ValueError``/``KeyError``) if damaged."""
+    doc = json.loads(data.decode())
+    if (
+        doc.get("kind") != "snapshot_manifest"
+        or doc.get("crc") != _manifest_crc(doc)
+    ):
+        raise StorageError("manifest corrupt")
+    return str(doc["snapshot"])
 
 
 class SnapshotStore:
@@ -169,54 +181,46 @@ class SnapshotStore:
         """Newest complete snapshot as ``(seq, meta, payload)``, or
         ``None`` when the store has never committed one.  Damaged
         artifacts are quarantined and older valid snapshots tried."""
-        target: Optional[str] = None
-        if self._dir.exists(MANIFEST):
-            try:
-                doc = json.loads(self._dir.read_bytes(MANIFEST).decode())
-                if (
-                    doc.get("kind") != "snapshot_manifest"
-                    or doc.get("crc") != _manifest_crc(doc)
-                ):
-                    raise StorageError("manifest corrupt")
-                target = str(doc["snapshot"])
-            except (StorageError, ValueError, KeyError):
-                self._set_aside(MANIFEST)
-                target = None
-
-        if target is not None:
-            loaded = self._try_load(target)
-            if loaded is not None:
-                return loaded
-
-        # Fallback: newest self-validating snapshot file on disk.
-        candidates = sorted(
-            (
-                name
-                for name in self._dir.listdir()
-                if self._parse_seq(name) is not None
-            ),
-            reverse=True,
-        )
-        for name in candidates:
-            loaded = self._try_load(name)
-            if loaded is not None:
-                return loaded
-        return None
-
-    def _try_load(self, name: str) -> Optional[Tuple[int, Dict, bytes]]:
-        if not self._dir.exists(name):
-            return None
-        seq = self._parse_seq(name)
-        if seq is None:
-            return None
-        try:
-            meta, payload = self._decode(self._dir.read_bytes(name))
-        except StorageError:
-            self._set_aside(name)
-            return None
-        return seq, meta, payload
+        return _load_newest(self._dir, self._set_aside)
 
     def _set_aside(self, name: str) -> None:
         self._dir.rename(name, name + ".quarantine")
         self._dir.fsync_dir()
         self.quarantined.append(name)
+
+
+def read_snapshot(directory: Directory) -> Optional[Tuple[int, Dict, bytes]]:
+    """What :meth:`SnapshotStore.load` would return, read without any of
+    its repairs (no ``.tmp`` removal, no quarantine: damaged artifacts
+    are skipped) — for readers of a store a live process may write."""
+    return _load_newest(directory, lambda _name: None)
+
+
+def _load_newest(
+    directory: Directory, set_aside: Callable[[str], None]
+) -> Optional[Tuple[int, Dict, bytes]]:
+    """The manifest's snapshot if it validates, else the newest snapshot
+    file that does; each damaged artifact is handed to ``set_aside``."""
+    parse_seq = SnapshotStore._parse_seq
+    names = sorted(
+        (n for n in directory.listdir() if parse_seq(n) is not None),
+        reverse=True,
+    )
+    if directory.exists(MANIFEST):
+        try:
+            target = _manifest_target(directory.read_bytes(MANIFEST))
+        except (StorageError, ValueError, KeyError):
+            set_aside(MANIFEST)
+        else:
+            if target in names:
+                names.insert(0, target)
+    for name in dict.fromkeys(names):
+        try:
+            meta, payload = SnapshotStore._decode(directory.read_bytes(name))
+        except FileNotFoundError:
+            continue  # pruned by a live writer since the listing
+        except StorageError:
+            set_aside(name)
+            continue
+        return parse_seq(name), meta, payload
+    return None

@@ -41,10 +41,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.store.directory import Directory, OsDirectory
-from repro.store.log import SegmentedLog
-from repro.store.snapshots import SnapshotStore
+from repro.store.log import SegmentedLog, read_log
+from repro.store.snapshots import SnapshotStore, read_snapshot
 
-__all__ = ["TenantStore", "read_spec"]
+__all__ = ["TenantStore", "TenantStoreReader", "read_spec"]
 
 SPEC_FILE = "spec.json"
 #: The kernel journal's file before it moved into ``journal/``.
@@ -222,3 +222,38 @@ class TenantStore:
     def close(self) -> None:
         self.oplog.close()
         self.journal_log.close()
+
+
+class TenantStoreReader:
+    """Read-only view of one tenant directory, for tools that inspect a
+    store a live daemon may be writing (``repro obs trace``): what a
+    :class:`TenantStore` open would recover, through the same frame and
+    manifest parsers, with none of its repairs or writes (no ``*.tmp``
+    removal, truncation, quarantine or subdirectory creation)."""
+
+    def __init__(self, path: "str | Path") -> None:
+        self.path = Path(path)
+        wal = self.path / LEGACY_WAL_FILE
+        #: The pre-``journal/`` JSONL journal, if this store holds one.
+        self.legacy_wal: Optional[Path] = wal if wal.exists() else None
+
+    def _log(self, name: str) -> List[Tuple[int, bytes]]:
+        sub = self.path / name
+        return read_log(OsDirectory(sub)) if sub.is_dir() else []
+
+    def load_snapshot(self) -> Optional[Tuple[Any, int]]:
+        """Newest complete state image as ``(state, op_seq)``."""
+        snaps = self.path / "snaps"
+        loaded = read_snapshot(OsDirectory(snaps)) if snaps.is_dir() else None
+        if loaded is None:
+            return None
+        _seq, meta, payload = loaded
+        return pickle.loads(payload), int(meta.get("op_seq", 0))
+
+    def ops(self) -> List[Tuple[int, Dict[str, Any]]]:
+        """All live op records as ``(seq, doc)``."""
+        return [(seq, json.loads(p.decode())) for seq, p in self._log("oplog")]
+
+    def journal_payloads(self) -> List[bytes]:
+        """The kernel journal's record payloads (``journal/``)."""
+        return [payload for _seq, payload in self._log("journal")]

@@ -3,6 +3,9 @@ reconstruction, including across a simulated kill -9 cold start."""
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ObservabilityError
@@ -10,6 +13,10 @@ from repro.obs.correlate import correlate_request, render_request_trace
 from repro.service import CapacitySpec, InjectFault, Submit, TenantShard, TenantSpec
 from repro.sim.job import Job
 from repro.store.tenant import TenantStore
+
+LEGACY_STORE = (
+    Path(__file__).resolve().parents[1] / "fixtures" / "schema2_store"
+)
 
 
 def _spec(tenant="t0", **kw):
@@ -143,6 +150,46 @@ class TestStoreCorrelation:
         assert correlate_request("r0", store_dir=tmp_path, tenant="t0")[
             "found"
         ] is True
+
+
+def _tree(root):
+    """Every path under ``root`` with its size (None for directories)."""
+    return sorted(
+        (str(p.relative_to(root)), p.stat().st_size if p.is_file() else None)
+        for p in root.rglob("*")
+    )
+
+
+class TestReadOnly:
+    """`repro obs trace` inspects stores a live daemon may be writing:
+    reading one must repair, remove and create nothing."""
+
+    def test_in_flight_writes_are_left_alone(self, tmp_path):
+        _populate(tmp_path)  # not closed: the store of a live process
+        tenant = tmp_path / "t0"
+        # A snapshot write and a segment rotation caught mid-flight, and
+        # an op-log append torn after its first bytes.
+        (tenant / "snaps" / "snap-000000000099.bin.tmp").write_bytes(b"RSNP")
+        (tenant / "oplog" / "log-000000000099.seg.tmp").write_bytes(b"RSG1")
+        segment = sorted((tenant / "oplog").glob("log-*.seg"))[-1]
+        with segment.open("ab") as fh:
+            fh.write(b"\x10\x00")
+        before = _tree(tmp_path)
+
+        result = correlate_request("r3", store_dir=tmp_path)
+        assert result["found"] is True and result["jid"] == 3
+        assert _tree(tmp_path) == before
+
+    def test_legacy_store_is_left_alone(self, tmp_path):
+        store = tmp_path / "store"
+        shutil.copytree(LEGACY_STORE, store)
+        before = _tree(store)
+
+        result = correlate_request("r3", store_dir=store)
+        assert result["found"] is True and result["jid"] == 3
+        # journal stages come from the store's un-imported wal.jsonl
+        assert any(s["stage"] == "journal" for s in result["stages"])
+        assert _tree(store) == before
 
 
 class TestTraceCorrelation:

@@ -102,6 +102,33 @@ class TestWindowRing:
             WindowRing(1.0, slots=0)
 
 
+#: A schema-1 SLO document exactly as the previous tracker wrote it into
+#: snapshot payloads (float counters, ``depth`` and ``fsync`` blocks).
+SCHEMA1_DOC = {
+    "counters": {
+        "admitted": 2.0,
+        "duplicates": 1.0,
+        "injected.kill": 1.0,
+        "shed": 2.0,
+        "shed.queue_budget": 2.0,
+    },
+    "depth": {"hwm": 2, "last": 2},
+    "fsync": {"count": 2, "max": 0.25, "min": 0.25, "sum": 0.5},
+    "ring": {
+        "buckets": [
+            [0, {"shed": 2.0, "shed.queue_budget": 2.0}],
+            [2, {"admitted": 2.0}],
+            [5, {"injected.kill": 1.0}],
+        ],
+        "dropped_buckets": 0,
+        "slots": 16,
+        "width": 0.5,
+    },
+    "schema": 1,
+    "tenant": "t0",
+}
+
+
 class TestSloTracker:
     def _tracker(self):
         slo = SloTracker("t0", horizon=16.0, slots=8)
@@ -109,22 +136,31 @@ class TestSloTracker:
         slo.observe(2.0, "admitted")
         slo.observe(2.5, "shed")
         slo.observe(2.5, "shed.queue_budget")
-        slo.count("recoveries")
-        slo.set_depth(3)
-        slo.set_depth(1)
-        slo.observe_fsync(0.004)
-        slo.observe_fsync(0.002)
+        reg = slo.registry
+        reg.counter("recoveries").inc()
+        reg.gauge("depth").set(3)
+        reg.gauge("depth").set(1)
+        reg.histogram("fsync").observe(0.004)
+        reg.histogram("fsync").observe(0.002)
         return slo
 
     def test_counters_ring_and_gauges(self):
         slo = self._tracker()
-        assert slo.counters["admitted"] == 2.0
-        assert slo.counters["shed.queue_budget"] == 1.0
+        doc = slo.snapshot()
+        assert doc["counters"]["admitted"] == 2
+        assert doc["counters"]["shed.queue_budget"] == 1
         assert slo.ring.total("admitted") == 2.0
-        assert (slo.depth_last, slo.depth_hwm) == (1, 3)
-        assert slo.fsync["count"] == 2
-        assert slo.fsync["min"] == pytest.approx(0.002)
-        assert slo.fsync["max"] == pytest.approx(0.004)
+        assert doc["gauges"]["depth"] == {"last": 1, "hwm": 3}
+        fsync = doc["histograms"]["fsync"]
+        assert fsync["count"] == 2
+        assert fsync["min"] == pytest.approx(0.002)
+        assert fsync["max"] == pytest.approx(0.004)
+        # The ring plus exactly the registry's own snapshot, nothing else.
+        assert doc["schema"] == 2
+        assert doc["ring"] == slo.ring.snapshot()
+        header = ("schema", "tenant", "ring")
+        rest = {k: v for k, v in doc.items() if k not in header}
+        assert rest == slo.registry.snapshot()
 
     def test_snapshot_restore_round_trip(self):
         slo = self._tracker()
@@ -132,29 +168,38 @@ class TestSloTracker:
         back = SloTracker.restore(doc)
         assert back.snapshot() == slo.snapshot()
 
-    def test_merge_pools_everything(self):
-        a, b = self._tracker(), self._tracker()
-        b.observe(9.0, "admitted")
-        b.set_depth(7)
-        a.merge(b)
-        assert a.counters["admitted"] == 5.0
-        assert a.depth_hwm == 7
-        assert a.depth_last == 7
-        assert a.fsync["count"] == 4
+    def test_fresh_snapshot_is_strict_json(self):
+        # Untouched instruments are absent, never seeded at +-inf.
+        doc = SloTracker("t0", horizon=4.0).snapshot()
+        json.dumps(doc, allow_nan=False)
+        assert doc["gauges"] == {} and doc["histograms"] == {}
+
+    def test_schema1_doc_restores(self):
+        back = SloTracker.restore(json.loads(json.dumps(SCHEMA1_DOC)))
+        doc = back.snapshot()
+        assert doc["schema"] == 2 and doc["tenant"] == "t0"
+        assert doc["counters"] == SCHEMA1_DOC["counters"]
+        assert doc["ring"] == SCHEMA1_DOC["ring"]
+        assert doc["gauges"]["depth"] == SCHEMA1_DOC["depth"]
+        fsync = doc["histograms"]["fsync"]
+        assert (fsync["count"], fsync["sum"]) == (2, 0.5)
+        assert slo_parity_view(doc) == slo_parity_view(SCHEMA1_DOC)
 
     def test_parity_view_strips_restart_and_wall_clock_fields(self):
         slo = self._tracker()
         view = slo_parity_view(slo.snapshot())
-        assert "fsync" not in view
-        assert "recoveries" not in view["counters"]
-        assert "cold_starts" not in view["counters"]
-        assert view["counters"]["admitted"] == 2.0
-        # A cold start bumps recoveries/cold_starts and sees different
+        assert set(view) == {"counters", "ring"}
+        for name in ("recoveries", "cold_starts", "duplicates"):
+            assert name not in view["counters"]
+        assert view["counters"]["admitted"] == 2
+        # A cold start bumps recoveries/cold_starts, never recounts
+        # redeliveries, samples its own backlog depth and sees different
         # fsync wall-clock latencies — parity must still hold.
         other = SloTracker.restore(slo.snapshot())
-        other.count("recoveries")
-        other.count("cold_starts")
-        other.observe_fsync(1.23)
+        for name in ("recoveries", "cold_starts", "duplicates"):
+            other.registry.counter(name).inc()
+        other.registry.gauge("depth").set(9)
+        other.registry.histogram("fsync").observe(1.23)
         assert slo_parity_view(other.snapshot()) == view
         # ...but a real counter divergence must not.
         other.observe(3.0, "admitted")
@@ -166,7 +211,8 @@ def _fleet():
     slo.observe(1.0, "admitted")
     slo.observe(2.0, "shed")
     slo.observe(2.0, "shed.queue_budget")
-    slo.observe_fsync(0.001)
+    slo.registry.gauge("depth").set(2)
+    slo.registry.histogram("fsync").observe(0.001)
     doc = slo.snapshot()
     doc["live"] = {
         "completions": 4,
@@ -220,6 +266,7 @@ class TestPrometheus:
             in text
         )
         assert 'repro_fsync_latency_seconds_count{tenant="t0"} 1.0' in text
+        assert 'repro_queue_depth_hwm{tenant="t0"} 2.0' in text
 
     def test_lint_catches_real_format_errors(self):
         assert lint_prometheus("repro_x 1\n")  # no TYPE

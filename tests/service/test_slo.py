@@ -3,6 +3,10 @@ view, durability through the store, and drain/cold-start parity."""
 
 from __future__ import annotations
 
+import json
+
+import pytest
+
 from repro.obs.telemetry import SloTracker, slo_parity_view
 from repro.service import (
     Advance,
@@ -87,8 +91,9 @@ class TestTrackingOn:
         assert counters["injected.kill"] == 1.0
         assert counters["crashes"] == 1.0
         assert counters["recoveries"] == 1.0  # the forced crash recovered
-        assert doc["depth"]["hwm"] >= doc["depth"]["last"] >= 0
-        assert doc["fsync"]["count"] > 0  # op-log appends were timed
+        depth = doc["gauges"]["depth"]
+        assert depth["hwm"] >= depth["last"] >= 0
+        assert doc["histograms"]["fsync"]["count"] > 0  # op-log appends
         assert doc["ring"]["buckets"]  # observations landed in the window
         shard.close()
 
@@ -212,4 +217,164 @@ class TestDurability:
         revived.handle(Submit("t0", _job(50, release=8.0), rid="r50"))
         revived.handle(Advance("t0", 9.0))
         assert revived.stats()["slo"]["counters"]["admitted"] == 1.0
+        revived.close()
+
+
+def _revive(tmp_path, spec=None):
+    return TenantShard(
+        spec or _spec(),
+        store=TenantStore(tmp_path / "t0", fsync=False),
+        resume=True,
+        telemetry=True,
+    )
+
+
+class TestColdStartParity:
+    """A shard abandoned without a drain (in-process kill -9) and the
+    twin cold-started from its store agree on everything durable."""
+
+    def test_traffic_after_the_last_snapshot(self, tmp_path):
+        # A decision and a redelivery after the last durable snapshot:
+        # the redelivery is acked, never logged, and the backlog depth
+        # is a live sample — neither can be rebuilt from the op log.
+        shard = TenantShard(
+            _spec(),
+            store=TenantStore(tmp_path / "t0", fsync=False),
+            telemetry=True,
+        )
+        for i in range(6):
+            shard.handle(Submit("t0", _job(i, release=1.0 + i), rid=f"r{i}"))
+        shard.persist_now()
+        shard.handle(Submit("t0", _job(6, release=7.0), rid="r6"))
+        shard.handle(Advance("t0", 7.5))
+        assert shard.handle(Submit("t0", _job(0, release=1.0), rid="r0"))[
+            "duplicate"
+        ]
+        before = shard.stats()["slo"]
+        assert before["counters"]["duplicates"] == 1
+
+        after = _revive(tmp_path).stats()["slo"]
+        assert after["counters"]["admitted"] == before["counters"]["admitted"]
+        assert "duplicates" not in after["counters"]
+        assert slo_parity_view(after) == slo_parity_view(before)
+
+    #: One stream holding every decided op kind: admits, queue-budget
+    #: sheds, a circuit-open out-of-band shed, a kill push and a forced
+    #: crash (recovered inline, as the supervisor would).
+    @staticmethod
+    def _stream():
+        from repro.errors import SimulatedCrash
+
+        def crash(shard):
+            try:
+                shard.handle(InjectFault("t0", "crash", time=4.0, rid="c0"))
+            except SimulatedCrash as exc:
+                shard.recover(exc)
+
+        steps = [
+            lambda s, i=i: s.handle(
+                Submit("t0", _job(i, release=1.0 + 0.5 * (i // 4)), rid=f"r{i}")
+            )
+            for i in range(8)
+        ]
+        steps.append(
+            lambda s: s.shed_one(_job(20, release=2.5), "circuit_open", "o0")
+        )
+        steps.append(
+            lambda s: s.handle(InjectFault("t0", "kill", time=3.0, rid="k0"))
+        )
+        steps.append(crash)
+        steps.append(
+            lambda s: s.handle(Submit("t0", _job(30, release=5.0), rid="r30"))
+        )
+        steps.append(lambda s: s.handle(Advance("t0", 6.0)))
+        return steps
+
+    @pytest.mark.parametrize("anchor", range(14))
+    def test_every_snapshot_position(self, tmp_path, anchor):
+        steps = self._stream()
+        assert anchor <= len(steps)
+        shard = TenantShard(
+            _spec(queue_budget=3, snapshot_every=64),
+            store=TenantStore(tmp_path / "t0", fsync=False),
+            telemetry=True,
+        )
+        for i, step in enumerate(steps):
+            if i == anchor:
+                shard.persist_now()
+            step(shard)
+        if anchor == len(steps):
+            shard.persist_now()
+        before = shard.stats()
+        counters = before["slo"]["counters"]
+        for name in ("admitted", "shed.queue_budget", "shed.circuit_open",
+                     "injected.kill", "crashes"):
+            assert counters[name] >= 1, name
+
+        revived = _revive(tmp_path, _spec(queue_budget=3, snapshot_every=64))
+        # The restored kernel re-dispatches lazily: bring it to the
+        # victim's frontier (no decisions, journal-verified) first.
+        revived.handle(Advance("t0", 6.0))
+        after = revived.stats()
+
+        def books(stats):
+            return {
+                k: v for k, v in stats.items() if k not in ("recoveries", "slo")
+            }
+
+        assert books(after) == books(before)
+        assert slo_parity_view(after["slo"]) == slo_parity_view(before["slo"])
+
+
+class TestSloDocument:
+    def test_slo_view_is_strict_json(self, tmp_path):
+        fresh = TenantShard(_spec(), telemetry=True)
+        json.dumps(fresh.slo_view(), allow_nan=False)
+        fresh.close()
+        driven = TenantShard(
+            _spec(),
+            store=TenantStore(tmp_path / "t0", fsync=False),
+            telemetry=True,
+        )
+        _drive(driven)
+        doc = driven.slo_view()
+        assert doc["histograms"]["fsync"]["count"] > 0
+        json.dumps(doc, allow_nan=False)
+        driven.close()
+
+    def test_schema1_payload_resumes_and_persists_schema2(self, tmp_path):
+        from tests.obs.test_telemetry import SCHEMA1_DOC
+
+        shard = TenantShard(
+            _spec(),
+            store=TenantStore(tmp_path / "t0", fsync=False),
+            telemetry=True,
+        )
+        shard.handle(Submit("t0", _job(0, release=1.0), rid="r0"))
+        shard.persist_now()
+        # Rewrite the newest payload as the previous release stored it.
+        store = TenantStore(tmp_path / "t0", fsync=False)
+        payload, anchor = store.load_snapshot()
+        payload["slo"] = SCHEMA1_DOC
+        store.write_snapshot(payload, op_seq=anchor)
+        store.close()
+
+        revived = _revive(tmp_path)
+        doc = revived.stats()["slo"]
+        assert doc["schema"] == 2
+        old_counters = SCHEMA1_DOC["counters"]
+        assert {k: doc["counters"][k] for k in old_counters} == old_counters
+        assert doc["counters"]["cold_starts"] == 1
+        assert doc["ring"] == SCHEMA1_DOC["ring"]
+        assert doc["gauges"]["depth"] == SCHEMA1_DOC["depth"]
+        fsync = doc["histograms"]["fsync"]
+        assert (fsync["count"], fsync["sum"]) == (2, 0.5)
+
+        revived.handle(Submit("t0", _job(1, release=2.0), rid="r1"))
+        revived.persist_now()
+        store = TenantStore(tmp_path / "t0", fsync=False)
+        payload, _anchor = store.load_snapshot()
+        store.close()
+        assert payload["slo"]["schema"] == 2
+        assert payload["slo"]["counters"]["admitted"] == 3
         revived.close()
