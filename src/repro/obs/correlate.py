@@ -3,9 +3,9 @@
 Every wire message may carry a ``request_id`` (client-chosen, or minted
 at the ingress).  The id is threaded through the whole causal path —
 wire → admission decision → shard op log → kernel dispatch → journal
-record — but **never** into the replay event domain: the op log and the
-snapshot dedup map are the durable witnesses, and the kernel journal
-links in through the decided jid.  That is what makes correlation
+record — but **never** into the replay event domain: the op log is the
+durable witness, and the kernel journal links in through the decided
+jid.  That is what makes correlation
 survive a ``kill -9``: this module reconstructs the path from the tenant
 store alone (no live process required), optionally enriched by a
 lifecycle trace export.
@@ -14,12 +14,13 @@ The reconstruction reads, per tenant directory and through
 :class:`~repro.store.tenant.TenantStoreReader` (read-only: the store may
 belong to a live daemon, so nothing is truncated, removed or created):
 
-* the **snapshot payload** — the dedup map (rid → outcome), the
-  rid → jid index and the shed records, which survive op-log
-  compaction;
-* the **op log** — surviving ``admit``/``shed``/``push``/``crash_mark``
-  records carrying the rid (the admission stage; a shed whose op record
-  was compacted away takes its reason from the snapshot's shed list);
+* the **op log** — every ``admit``/``shed``/``push``/``crash_mark``
+  record carrying the rid (the admission stage), back to the tenant's
+  first decision: the log is never compacted;
+* the **snapshot payload** — its restart count, and, for a store
+  written by a release that compacted the log, the frozen ``base``
+  books (dedup map rid → outcome, rid → jid index, shed records) that
+  stand in for the records compacted away then;
 * the **kernel journal** (``journal/``, or a legacy store's
   ``wal.jsonl`` not yet imported) — every dispatched
   release/completion/deadline record for the decided jid (the journal
@@ -88,14 +89,17 @@ def _scan_tenant_store(
     if loaded is not None:
         payload, _anchor = loaded
         if isinstance(payload, dict):
-            dedup = payload.get("dedup") or {}
+            recoveries = int(payload.get("recoveries", 0))
+            # A version-1 payload is its own base.
+            v1 = payload.get("version") == 1
+            base = (payload if v1 else payload.get("base")) or {}
+            dedup = base.get("dedup") or {}
             if rid in dedup:
                 outcome = str(dedup[rid])
-            rid_jids = payload.get("rid_jids") or {}
+            rid_jids = base.get("rid_jids") or {}
             if rid in rid_jids:
                 jid = int(rid_jids[rid])
-            snapshot_sheds = payload.get("shed") or []
-            recoveries = int(payload.get("recoveries", 0))
+            snapshot_sheds = base.get("shed") or []
 
     for seq, doc in store.ops():
         if doc.get("rid") != rid:
@@ -127,7 +131,7 @@ def _scan_tenant_store(
         return None
 
     if outcome == "shed" and not stages:
-        # The shed op record was compacted behind the snapshot.
+        # The shed op record was compacted behind the frozen base.
         for rec in snapshot_sheds:
             if rec.get("jid") == jid:
                 stages.append(

@@ -36,10 +36,13 @@ store's op log **before** the kernel sees it (write-ahead), periodic
 kernel snapshots are committed as manifest-anchored state images, and
 ``TenantShard(spec, store=..., resume=True)`` rebuilds the exact live
 state from disk after a ``SIGKILL`` — the cold-start half of
-:meth:`repro.service.supervisor.ScheduleService.cold_start`.  Client
-``request_id`` strings ride along into the op log, so a traffic log
-replayed against a cold-started shard acks duplicates instead of
-double-admitting.
+:meth:`repro.service.supervisor.ScheduleService.cold_start`.  The op
+log is the one record of decided history: a snapshot payload holds the
+kernel image and the counters no op record carries, never a copy of
+the decisions, and the cold start rebuilds the books by folding the
+whole log.  Client ``request_id`` strings ride along into the op log,
+so a traffic log replayed against a cold-started shard acks duplicates
+instead of double-admitting.
 """
 
 from __future__ import annotations
@@ -98,6 +101,9 @@ _EPS = 1e-9
 
 #: A client request id (``None`` for rid-less messages).
 Rid = Optional[str]
+
+#: The fields of a version-1 snapshot payload that are not its books.
+_V1_HEAD = ("version", "engine", "recoveries", "slo")
 
 
 def _scheduler_factories() -> Dict[str, Any]:
@@ -395,10 +401,6 @@ class TenantShard:
         self._slo: Optional[SloTracker] = (
             SloTracker(spec.tenant, spec.horizon) if telemetry else None
         )
-        # request id -> decided jid (admission correlation index; rides
-        # the snapshot payload so `repro obs trace` survives op-log
-        # compaction and kill -9).
-        self._rid_jid: Dict[str, int] = {}
         self._journal = EventJournal()
         if store is not None:
             # Round-tripping the stored doc fills in spec fields added
@@ -429,9 +431,6 @@ class TenantShard:
 
         self._accepted: List[Job] = []
         self._accepted_jids: set = set()
-        # _job_to_dict of every accepted job, built once at admission: the
-        # persisted payload's "accepted" list, never rebuilt per persist.
-        self._accepted_docs: List[Dict[str, Any]] = []
         self._shed: List[ShedRecord] = []
         self._injected: List[Tuple[float, tuple]] = []
         # Op log: (dispatch_count at application, kind, data).  Recovery
@@ -451,6 +450,11 @@ class TenantShard:
         self._rid_queue: Dict[int, List[str]] = {}
         # Dispatch count of the newest durably persisted snapshot.
         self._persist_anchor = -1
+        # The frozen books of a version-1 payload this store resumed from
+        # (None for stores born with a whole op log) and the op sequence
+        # they reach; both ride every payload unchanged.
+        self._base: Optional[Dict[str, Any]] = None
+        self._base_seq = 0
 
         if resume and store is not None and store.has_state():
             self._resume_from_store()
@@ -529,51 +533,39 @@ class TenantShard:
     # ------------------------------------------------------------------
     # The decision fold: each decided op kind updates the books (accepted
     # and shed lists, injected pushes, the re-apply op list, forced
-    # crashes, dedup and rid -> jid maps, SLO tracker) in exactly one
-    # method.  The live handler calls it once the op is durable and the
-    # kernel has it; the cold start calls it for every op-log record past
-    # the snapshot anchor — so both paths keep the same books.
+    # crashes, dedup map, SLO tracker) in exactly one method.  The live
+    # handler calls it once the op is durable and the kernel has it; the
+    # cold start calls it for every op-log record — so both paths keep
+    # the same books.
     # ------------------------------------------------------------------
-    def _fold_admit(self, dc: int, job: Job, doc: dict, rid: Rid) -> None:
+    def _fold_admit(self, dc: int, job: Job, rid: Rid) -> None:
         self._ops.append((dc, "admit", job))
         self._accepted.append(job)
         self._accepted_jids.add(job.jid)
-        self._accepted_docs.append(doc)
-        self._fold_decision(rid, job.jid, "accepted", job.release, "admitted")
+        self._fold_decision(rid, "accepted", job.release, "admitted")
 
     def _fold_shed(self, rec: ShedRecord, rid: Rid) -> None:
         self._shed.append(rec)
-        self._fold_decision(
-            rid, rec.jid, "shed", rec.time, "shed", "shed." + rec.reason
-        )
+        self._fold_decision(rid, "shed", rec.time, "shed", "shed." + rec.reason)
 
     def _fold_push(
         self, dc: int, time: float, payload: tuple, rid: Rid
     ) -> None:
         self._injected.append((time, payload))
         self._ops.append((dc, "push", (time, payload)))
-        self._fold_decision(
-            rid, None, "injected", time, "injected." + payload[0]
-        )
+        self._fold_decision(rid, "injected", time, "injected." + payload[0])
 
     def _fold_crash_mark(self, time: Optional[float], rid: Rid) -> None:
         self._forced_crashes += 1
-        self._fold_decision(rid, None, "crash", time, "crashes")
+        self._fold_decision(rid, "crash", time, "crashes")
 
     def _fold_decision(
-        self,
-        rid: Rid,
-        jid: Optional[int],
-        outcome: str,
-        time: Optional[float],
-        *counters: str,
+        self, rid: Rid, outcome: str, time: Optional[float], *counters: str
     ) -> None:
         """The books every decision kind keeps: the rid's dedup outcome
-        and rid -> jid index entry, and the SLO decision counters."""
+        and the SLO decision counters."""
         if rid is not None:
             self._dedup[rid] = outcome
-            if jid is not None:
-                self._rid_jid[rid] = int(jid)
         if self._slo is not None:
             for name in counters:
                 self._slo.observe(time, name)
@@ -582,8 +574,7 @@ class TenantShard:
         """Fold one op-log record into the books (cold start)."""
         op, rid = doc.get("op"), doc.get("rid")
         if op == "admit":
-            job = Job(**doc["job"])
-            self._fold_admit(int(doc["dc"]), job, _job_to_dict(job), rid)
+            self._fold_admit(int(doc["dc"]), Job(**doc["job"]), rid)
         elif op == "push":
             time, payload = float(doc["time"]), tuple(doc["payload"])
             self._fold_push(int(doc["dc"]), time, payload, rid)
@@ -834,18 +825,17 @@ class TenantShard:
         admit_rids = [self._take_rid(job.jid) for job in admit]
         shed_rids = [self._take_rid(rec.jid) for rec in shed]
         dc = kernel.dispatch_count
-        job_docs = [_job_to_dict(job) for job in admit]
         self._shed_decided(
             shed,
             shed_rids,
             (
-                {"op": "admit", "dc": dc, "job": doc, "rid": rid}
-                for doc, rid in zip(job_docs, admit_rids)
+                {"op": "admit", "dc": dc, "job": _job_to_dict(job), "rid": rid}
+                for job, rid in zip(admit, admit_rids)
             ),
         )
-        for job, doc, rid in zip(admit, job_docs, admit_rids):
+        for job, rid in zip(admit, admit_rids):
             kernel.admit_job(job)
-            self._fold_admit(dc, job, doc, rid)
+            self._fold_admit(dc, job, rid)
             self._emit_request(rid, job.jid, "accepted", release)
         if self._slo is not None:
             self._slo.registry.gauge("depth").set(self.depth)
@@ -1040,7 +1030,15 @@ class TenantShard:
         snap = self.kernel.last_snapshot
         if snap is None or snap.dispatch_count <= self._persist_anchor:
             return
-        self._persist(snap)
+        # A periodic image is cut at a dispatch boundary, before any op
+        # logged at its dispatch count: those ops and every later one are
+        # what it does not contain.
+        base = snap.dispatch_count
+        first = next(
+            (i for i, (dc, _, _) in enumerate(self._ops) if dc >= base),
+            len(self._ops),
+        )
+        self._persist(snap, len(self._ops) - first)
 
     def persist_now(self) -> None:
         """Drain path: decide the open group, cut a snapshot at the
@@ -1052,96 +1050,92 @@ class TenantShard:
             self._sync_journal()
             return
         self._flush_pending()
-        snap = self._engine.snapshot()
-        # This snapshot is cut *after* every logged op took effect, so
-        # same-dispatch-count ops are already inside it: anchor past the
-        # whole op log and persist no re-apply tail.
-        self._persist(snap, include_tail=False)
+        # This snapshot is cut *after* every logged op took effect, so it
+        # contains them all: nothing to re-apply on top of it.
+        self._persist(self._engine.snapshot(), 0)
 
-    def _persist(self, snap: EngineSnapshot, *, include_tail: bool = True) -> None:
-        base = snap.dispatch_count
-        tail: List[List[Any]] = []
-        if include_tail:
-            for dc, kind, data in self._ops:
-                if dc < base:
-                    continue
-                if kind == "admit":
-                    tail.append([dc, "admit", _job_to_dict(data)])
-                else:  # "push"
-                    tail.append([dc, "push", [data[0], list(data[1])]])
+    def _persist(self, snap: EngineSnapshot, ops_tail: int) -> None:
+        """Commit one version-2 payload at the op log's end: no decision,
+        only the kernel image, the counters no op record carries, and
+        ``ops_tail``, how many of the last re-apply (admit/push) records
+        before the anchor the image does not contain."""
         payload = {
-            "version": 1,
+            "version": 2,
             "engine": snap,
-            "accepted": self._accepted_docs,
-            "injected": [[t, list(p)] for t, p in self._injected],
-            "shed": [rec.to_dict() for rec in self._shed],
-            "dedup": dict(self._dedup),
             "recoveries": self._recoveries,
-            "forced_crashes": self._forced_crashes,
-            "ops_tail": tail,
-            # Telemetry plane (absent pre-PR 10 payloads read back fine
-            # via .get): the SLO tracker snapshot — anchored at the same
-            # op_seq as the rest, so the cold-start refold of post-anchor
-            # ops is exact — and the rid → jid correlation index.
+            # The SLO tracker snapshot, anchored at the same op_seq, so
+            # the cold-start refold of post-anchor ops is exact.
             "slo": None if self._slo is None else self._slo.snapshot(),
-            "rid_jids": dict(self._rid_jid),
+            "ops_tail": ops_tail,
+            "base": self._base,
+            "base_seq": self._base_seq,
         }
         self._sync_journal()
         self._store.write_snapshot(payload, op_seq=self._store.op_seq)
-        self._persist_anchor = base
+        self._persist_anchor = snap.dispatch_count
 
     def _resume_from_store(self) -> None:
         """Cold start: rebuild the live shard from disk alone.
 
-        The snapshot payload carries the books up to its op-log anchor;
-        every op record at or past the anchor is folded back in through
-        the same per-op methods the live path decided it with.  The
-        engine restores from the pickled kernel image and re-applies the
-        post-snapshot op tail — exactly the in-process :meth:`recover`
-        dance, with the disk as the only witness."""
+        The books are rebuilt only by folding op records through
+        :meth:`_fold_op`, as the live path decided them: every record
+        from the payload's ``base_seq`` on, over its frozen ``base``
+        books, if any.  The restored SLO tracker already covers the
+        records before the snapshot's anchor.  The engine restores from
+        the kernel image and re-applies the ops it does not contain —
+        the in-process :meth:`recover` dance, with the disk as the only
+        witness."""
         store = self._store
         assert store is not None
         loaded = store.load_snapshot()
-        snap: Optional[EngineSnapshot] = None
+        payload: Dict[str, Any] = {"engine": None, "base_seq": 0, "ops_tail": 0}
         anchor_seq = 0
         if loaded is not None:
             payload, anchor_seq = loaded
-            if not isinstance(payload, dict) or payload.get("version") != 1:
+            version = payload.get("version") if isinstance(payload, dict) else None
+            if version == 1:
+                # Written while payloads copied the books out of the op
+                # log: they become the frozen base, at this anchor, and
+                # their re-apply list is the tail.
+                payload = dict(
+                    payload,
+                    base={k: v for k, v in payload.items() if k not in _V1_HEAD},
+                    base_seq=anchor_seq,
+                    ops_tail=len(payload["ops_tail"]),
+                )
+            elif version != 2:
                 raise RecoveryError(
                     f"tenant {self.tenant!r}: unrecognised snapshot "
                     "payload (schema drift?)"
                 )
-            self._accepted = [Job(**d) for d in payload["accepted"]]
-            self._accepted_jids = {job.jid for job in self._accepted}
-            self._accepted_docs = [_job_to_dict(job) for job in self._accepted]
-            self._injected = [
-                (float(t), tuple(p)) for t, p in payload["injected"]
-            ]
-            self._shed = [ShedRecord(**r) for r in payload["shed"]]
-            self._dedup = dict(payload["dedup"])
             self._recoveries = int(payload["recoveries"])
-            self._forced_crashes = int(payload["forced_crashes"])
-            self._rid_jid = {
-                str(k): int(v)
-                for k, v in (payload.get("rid_jids") or {}).items()
-            }
-            slo_doc = payload.get("slo")
-            if self._slo is not None and slo_doc:
-                self._slo = SloTracker.restore(slo_doc)
-            snap = payload["engine"]
-            by_jid = {job.jid: job for job in self._accepted}
-            for dc, kind, data in payload["ops_tail"]:
-                if kind == "admit":
-                    # Re-bind to the accepted-list Job so identity is
-                    # shared between the admission record and the op.
-                    op = (int(dc), "admit", by_jid[int(data["jid"])])
-                else:
-                    op = (int(dc), "push", (float(data[0]), tuple(data[1])))
-                self._ops.append(op)
+        snap: Optional[EngineSnapshot] = payload["engine"]
+        self._base = payload.get("base")
+        self._base_seq = base_seq = int(payload["base_seq"])
 
-        for seq, doc in store.ops():
-            if seq >= anchor_seq:
-                self._fold_op(doc)
+        # The log must hold every record from the base through the
+        # anchor (the journal obeys the same rule below).
+        log = store.oplog
+        if log.base_seq > base_seq or log.next_seq < anchor_seq:
+            lo, hi = (base_seq, log.base_seq) if log.base_seq > base_seq else (
+                log.next_seq, anchor_seq
+            )
+            raise RecoveryError(
+                f"tenant {self.tenant!r}: op-log records [{lo}, {hi}) are "
+                f"missing; the snapshot needs [{base_seq}, {anchor_seq})"
+            )
+        if self._base is not None:
+            self._load_base(self._base)
+        ops = store.ops()[base_seq - log.base_seq :]
+        split = anchor_seq - base_seq
+        slo, self._slo = self._slo, None
+        for _seq, doc in ops[:split]:
+            self._fold_op(doc)
+        self._ops = self._ops[len(self._ops) - int(payload["ops_tail"]) :]
+        slo_doc = payload.get("slo")
+        self._slo = SloTracker.restore(slo_doc) if slo and slo_doc else slo
+        for _seq, doc in ops[split:]:
+            self._fold_op(doc)
 
         # Undecided buffering (pending groups) is never durable, so
         # every reconstructed submission is a decided one.
@@ -1176,3 +1170,21 @@ class TenantShard:
                 },
                 replay=False,
             )
+
+    def _load_base(self, base: Mapping[str, Any]) -> None:
+        """Install the frozen books of a version-1 payload."""
+        self._accepted = [Job(**d) for d in base["accepted"]]
+        self._accepted_jids = {job.jid for job in self._accepted}
+        self._injected = [(float(t), tuple(p)) for t, p in base["injected"]]
+        self._shed = [ShedRecord(**r) for r in base["shed"]]
+        self._dedup = dict(base["dedup"])
+        self._forced_crashes = int(base["forced_crashes"])
+        by_jid = {job.jid: job for job in self._accepted}
+        for dc, kind, data in base["ops_tail"]:
+            if kind == "admit":
+                # Re-bind to the accepted-list Job so identity is shared
+                # between the admission record and the op.
+                op = (int(dc), "admit", by_jid[int(data["jid"])])
+            else:
+                op = (int(dc), "push", (float(data[0]), tuple(data[1])))
+            self._ops.append(op)

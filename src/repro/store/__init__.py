@@ -12,7 +12,7 @@ Layered bottom-up (each layer is testable on its own):
   quarantine;
 * :mod:`repro.store.snapshots` — :class:`SnapshotStore`, manifest-
   committed snapshot blobs (partial snapshots invisible by
-  construction) anchoring op-log compaction;
+  construction), each anchored at an op-log sequence;
 * :mod:`repro.store.tenant` — :class:`TenantStore`, one tenant's spec +
   op log + snapshots, the unit :class:`repro.service.shard.TenantShard`
   persists through and :meth:`repro.service.supervisor.ScheduleService.

@@ -25,9 +25,10 @@ Invariants the layout buys:
   ``*.quarantine`` (kept for forensics), its good prefix is rewritten
   as a fresh segment under the original name, all later segments are
   quarantined too, and recovery proceeds from the last good record.
-* **Compaction by sequence** — :meth:`compact` drops whole segments
-  whose records all precede an anchor sequence (the snapshot the ops
-  are superseded by); the partially-covered segment stays.
+* **Nothing is dropped** — the log is its owner's record of history,
+  so records are never compacted away.  :attr:`SegmentedLog.base_seq`
+  is the sequence of the oldest record the files hold: 0, unless an
+  older release compacted the log's head segments.
 
 Durability contract: ``append(..., sync=True)`` returns only after the
 frame is fsynced — a ``SIGKILL`` after the call loses nothing, a power
@@ -176,7 +177,8 @@ class SegmentedLog:
 
     @property
     def base_seq(self) -> int:
-        """Sequence of the oldest live record (compaction floor)."""
+        """Sequence of the oldest live record (non-zero only for a log
+        whose head segments an older release compacted away)."""
         return self._base_seq
 
     def entries(self) -> List[Tuple[int, bytes]]:
@@ -301,37 +303,6 @@ class SegmentedLog:
         """Force everything appended so far to stable storage."""
         if self._handle is not None:
             self._handle.fsync()
-
-    # -- maintenance ----------------------------------------------------
-    def compact(self, min_seq: int) -> int:
-        """Drop whole segments entirely below ``min_seq``; returns how
-        many segments were removed.  The last segment always stays."""
-        removed = 0
-        while len(self._segments) > 1:
-            head = self._segments[0]
-            if head.first_seq + head.count > min_seq:
-                break
-            self._dir.remove(head.name)
-            self._count -= head.count
-            self._base_seq = head.first_seq + head.count
-            self._segments.pop(0)
-            removed += 1
-        if removed:
-            self._dir.fsync_dir()
-        return removed
-
-    def rebase(self, first_seq: int) -> None:
-        """Restart an *empty* log at a given sequence (used when a
-        catastrophically corrupt log was quarantined wholesale but a
-        snapshot still anchors the op-sequence space)."""
-        if self._count:
-            raise StorageError("rebase is only valid on an empty log")
-        if self._handle is not None:
-            self._handle.close()
-        old = self._segments.pop()
-        self._dir.remove(old.name)
-        self._base_seq = first_seq
-        self._new_segment(first_seq)
 
     def close(self) -> None:
         if self._closed:

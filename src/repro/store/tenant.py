@@ -5,7 +5,8 @@ tenant's :class:`~repro.store.directory.Directory`::
 
     spec.json        # the TenantSpec as checksummed JSON (written once)
     oplog/           # SegmentedLog of JSON op records (admits, pushes,
-                     #   sheds, crash marks, dedup entries)
+                     #   sheds, crash marks, each with its request id:
+                     #   the tenant's whole decided history)
     journal/         # SegmentedLog of JSON kernel journal records (one
                      #   per dispatched event, the EventJournal's mirror)
     snaps/           # SnapshotStore of pickled shard state images
@@ -18,8 +19,13 @@ buffering, never a decision.  Journal records are handed to the OS as
 the kernel dispatches and synced once before each snapshot is written,
 so the durable journal always reaches at least as far as the durable
 snapshot (*journal ≥ snapshot*).  Snapshots anchor the op sequence: a
-state image recorded at op sequence ``s`` supersedes every op with
-``seq < s``, and :meth:`write_snapshot` compacts the op log accordingly.
+state image recorded at op sequence ``s`` was cut after every op with
+``seq < s`` was logged.  The logs are the record and snapshots are
+caches: nothing is ever compacted, so every kept snapshot (not only
+the newest) still has the whole op log it was anchored in.  Only a
+store written by an older release, which compacted the op log behind
+its newest snapshot, can lack records a snapshot needs; the shard then
+refuses to resume from it.
 
 Stores written before the journal moved into ``journal/`` hold it as a
 JSONL file, ``wal.jsonl`` (:data:`LEGACY_WAL_FILE`); the shard imports
@@ -70,6 +76,15 @@ def read_spec(directory: "Directory | str | Path") -> Optional[Dict[str, Any]]:
             f"tenant's world ({exc})"
         ) from exc
     return spec_doc
+
+
+def _op_docs(
+    entries: List[Tuple[int, bytes]]
+) -> List[Tuple[int, Dict[str, Any]]]:
+    """Op-log entries as ``(seq, doc)``: one parse of the whole log, not
+    one ``json.loads`` per record (cold start folds every decision)."""
+    docs = json.loads(b"[" + b",".join(p for _seq, p in entries) + b"]")
+    return [(seq, doc) for (seq, _p), doc in zip(entries, docs)]
 
 
 class TenantStore:
@@ -186,20 +201,15 @@ class TenantStore:
 
     def ops(self) -> List[Tuple[int, Dict[str, Any]]]:
         """All live op records as ``(seq, doc)``."""
-        return [
-            (seq, json.loads(payload.decode()))
-            for seq, payload in self.oplog.entries()
-        ]
+        return _op_docs(self.oplog.entries())
 
     # -- snapshots -------------------------------------------------------
     def write_snapshot(self, state: Any, *, op_seq: int) -> int:
-        """Commit one state image anchored at ``op_seq`` and compact the
-        op log behind it."""
-        seq = self.snapshots.write(
+        """Commit one state image anchored at ``op_seq`` (the op log is
+        left whole)."""
+        return self.snapshots.write(
             pickle.dumps(state), {"op_seq": int(op_seq)}
         )
-        self.oplog.compact(int(op_seq))
-        return seq
 
     def load_snapshot(self) -> Optional[Tuple[Any, int]]:
         """Newest complete state image as ``(state, op_seq)``."""
@@ -207,13 +217,7 @@ class TenantStore:
         if loaded is None:
             return None
         _seq, meta, payload = loaded
-        op_seq = int(meta.get("op_seq", 0))
-        if self.oplog.next_seq < op_seq and not len(self.oplog):
-            # The op log was quarantined wholesale (catastrophic rot):
-            # re-anchor its sequence space at the snapshot so post-resume
-            # appends stay ahead of the anchor.
-            self.oplog.rebase(op_seq)
-        return pickle.loads(payload), op_seq
+        return pickle.loads(payload), int(meta.get("op_seq", 0))
 
     def has_state(self) -> bool:
         """True if anything recoverable exists (ops or a snapshot)."""
@@ -252,7 +256,7 @@ class TenantStoreReader:
 
     def ops(self) -> List[Tuple[int, Dict[str, Any]]]:
         """All live op records as ``(seq, doc)``."""
-        return [(seq, json.loads(p.decode())) for seq, p in self._log("oplog")]
+        return _op_docs(self._log("oplog"))
 
     def journal_payloads(self) -> List[bytes]:
         """The kernel journal's record payloads (``journal/``)."""

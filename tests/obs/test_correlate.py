@@ -12,7 +12,7 @@ from repro.errors import ObservabilityError
 from repro.obs.correlate import correlate_request, render_request_trace
 from repro.service import CapacitySpec, InjectFault, Submit, TenantShard, TenantSpec
 from repro.sim.job import Job
-from repro.store.tenant import TenantStore
+from repro.store.tenant import TenantStore, TenantStoreReader
 
 LEGACY_STORE = (
     Path(__file__).resolve().parents[1] / "fixtures" / "schema2_store"
@@ -93,23 +93,31 @@ class TestStoreCorrelation:
         assert sheds and sheds[0]["op"] == "shed"
 
     def test_compacted_shed_still_reports_reason(self, tmp_path):
-        # Small segments: the persist compacts every shed op record away,
-        # so the reason must come from the snapshot's shed list.
-        shard = TenantShard(
-            _spec(), store=TenantStore(tmp_path / "t0", segment_bytes=128)
+        # A store written by a release that compacted the op log to its
+        # snapshot anchor, then cold-started and persisted by this one:
+        # the shed's op record is gone, so its reason comes from the
+        # frozen base books the new payload carries.
+        from tests.service.test_legacy_store import (
+            TENANT,
+            _spec as legacy_spec,
+            compact_log_head,
         )
-        for i in range(8):
-            shard.handle(
-                Submit("t0", _job(i, release=1.0 + 0.1 * i), rid=f"r{i}")
-            )
-        shard.handle(Submit("t0", _job(8, release=5.0), rid="r8"))
+
+        shutil.copytree(LEGACY_STORE, tmp_path / "store")
+        tenant_dir = tmp_path / "store" / TENANT
+        _old, anchor = TenantStoreReader(tenant_dir).load_snapshot()
+        compact_log_head(tenant_dir / "oplog", anchor)
+        shard = TenantShard(
+            legacy_spec(), store=TenantStore(tenant_dir), resume=True
+        )
         shard.persist_now()
         reason = {rec.jid: rec.reason for rec in shard.report().shed}[7]
-        store = TenantStore(tmp_path / "t0")
-        assert all(doc.get("rid") != "r7" for _seq, doc in store.ops())
-        store.close()
+        payload, _anchor = TenantStoreReader(tenant_dir).load_snapshot()
+        assert payload["version"] == 2 and payload["base_seq"] == anchor
+        ops = TenantStoreReader(tenant_dir).ops()
+        assert all(doc.get("rid") != "r7" for _seq, doc in ops)
 
-        result = correlate_request("r7", store_dir=tmp_path)
+        result = correlate_request("r7", store_dir=tmp_path / "store")
         assert result["outcome"] == "shed" and result["jid"] == 7
         sheds = [s for s in result["stages"] if s["stage"] == "admission"]
         assert [(s["op"], s["reason"]) for s in sheds] == [("shed", reason)]

@@ -260,36 +260,143 @@ class TestColdStartParity:
                 _spec(), store=TenantStore(tmp_path / "t0"), resume=True
             )
 
-    def test_persisted_accepted_list_is_byte_identical(self, tmp_path):
-        """The payload's "accepted" list is kept at admission, not rebuilt
-        per persist; its pickled bytes match a fresh rebuild — before and
-        after a cold start, including op-log admissions past the anchor."""
+
+class TestPayloadHoldsNoHistory:
+    """A version-2 snapshot payload is the kernel image plus a few
+    counters: decided history lives only in the op log, so what a
+    persist writes besides the image does not grow with the tenant's
+    age."""
+
+    KEYS = {"version", "engine", "recoveries", "slo", "ops_tail", "base",
+            "base_seq"}
+
+    @pytest.mark.parametrize("decisions", [200, 2000])
+    def test_payload_size_is_flat_in_history(self, decisions):
         import pickle
 
-        from repro.service.shard import _job_to_dict
+        import numpy as np
 
-        def persisted_accepted(store):
-            payload, _ = store.load_snapshot()
-            return payload["accepted"]
+        from repro.errors import SimulatedCrash
 
+        rng = np.random.default_rng(17)
+        store = TenantStore(MemoryDirectory(), fsync=False)
+        shard = TenantShard(
+            _spec(scheduler="edf", horizon=2.0 * decisions, queue_budget=4),
+            store=store,
+            telemetry=True,
+        )
+        release = 0.0
+        for i in range(decisions):
+            release += float(rng.exponential(0.5))
+            job = Job(
+                jid=i,
+                release=release,
+                workload=float(rng.uniform(0.2, 1.5)),
+                deadline=release + float(rng.uniform(1.0, 6.0)),
+                value=float(rng.uniform(1.0, 5.0)),
+            )
+            shard.handle(Submit("t0", job, rid=f"r{i}"))
+            if i == decisions // 2:
+                shard.handle(InjectFault("t0", "kill", release, rid="k0"))
+                try:
+                    shard.handle(InjectFault("t0", "crash", release, rid="c0"))
+                except SimulatedCrash as crash:
+                    shard.recover(crash)
+        payloads = [store.load_snapshot()[0]]  # the newest periodic one
+        shard.persist_now()
+        payloads.append(store.load_snapshot()[0])
+        for payload in payloads:
+            assert set(payload) == self.KEYS
+            assert payload["version"] == 2
+            assert (payload["base"], payload["base_seq"]) == (None, 0)
+            extra = len(pickle.dumps(payload)) - len(
+                pickle.dumps(payload["engine"])
+            )
+            assert extra < 4096, extra
+        stats = shard.stats()
+        assert stats["submitted"] == stats["accepted"] + stats["shed"]
+        assert stats["submitted"] == decisions
+        ops = [doc["op"] for _seq, doc in store.ops()]
+        assert len(ops) == decisions + 2
+        assert ops.count("push") == ops.count("crash_mark") == 1
+
+
+class TestSnapshotFallback:
+    """The op log is never compacted, so every kept snapshot is a sound
+    cold-start point; a store whose log lacks records a snapshot needs
+    refuses to guess."""
+
+    def test_older_snapshot_reproduces_the_victim(self, tmp_path):
+        from tests.service.test_legacy_store import rot_newest_snapshot
+
+        # Small segments: the op log rotates between the two kept
+        # snapshots.
+        store = TenantStore(tmp_path / "t0", segment_bytes=96)
+        shard = TenantShard(_spec(queue_budget=2), store=store)
+        # Four submits per release instant, so the budget sheds some.
+        messages = [
+            Submit("t0", _job(i, float(i // 4)), rid=f"r{i}") for i in range(16)
+        ]
+        messages.insert(12, InjectFault("t0", "kill", time=3.0, rid="f0"))
+        for message in messages[:8]:
+            shard.handle(message)
+        shard.persist_now()
+        for message in messages[8:]:
+            shard.handle(message)
+        shard.persist_now()
+        before = shard.stats()
+        outcomes = {m.rid: shard.dedup_outcome(m.rid) for m in messages}
+        assert set(outcomes.values()) == {"accepted", "shed", "injected"}
+        store.close()  # the process is gone
+        rot_newest_snapshot(tmp_path / "t0")
+
+        store2 = TenantStore(tmp_path / "t0", segment_bytes=96)
+        revived = TenantShard(_spec(queue_budget=2), store=store2, resume=True)
+        assert store2.snapshots.quarantined  # the older image was used
+        after = revived.stats()
+        for key in ("submitted", "accepted", "shed", "accepted_crc"):
+            assert after[key] == before[key], key
+        for message in messages:
+            ack = revived.handle(message)
+            assert ack == {"duplicate": True, "outcome": outcomes[message.rid]}
+        report = revived.close()
+        assert replay_tenant(report).ok
+        assert report.lost_jids == ()
+
+    def test_op_log_lost_under_snapshot_refuses(self, tmp_path):
         store = TenantStore(tmp_path / "t0")
         shard = TenantShard(_spec(), store=store)
-        _drive(shard, n=10)
+        _drive(shard, n=6)
         shard.persist_now()
-        rebuilt = [_job_to_dict(job) for job in shard.report().accepted]
-        assert pickle.dumps(persisted_accepted(store)) == pickle.dumps(rebuilt)
-        # Admissions the op log carries past the snapshot anchor.
-        for i in range(10, 14):
-            shard.handle(Submit("t0", _job(i, release=float(i) + 3.0)))
         store.close()
+        # Rot the whole op log away: every segment quarantines.
+        for seg in (tmp_path / "t0" / "oplog").glob("*.seg"):
+            seg.write_bytes(b"\x00" * 16)
+        with pytest.raises(RecoveryError, match=r"records \[0, \d+\) are missing"):
+            TenantShard(_spec(), store=TenantStore(tmp_path / "t0"), resume=True)
 
-        store2 = TenantStore(tmp_path / "t0")
-        revived = TenantShard(_spec(), store=store2, resume=True)
-        revived.persist_now()
-        rebuilt = [_job_to_dict(job) for job in revived.report().accepted]
-        assert len(rebuilt) > 10
-        assert pickle.dumps(persisted_accepted(store2)) == pickle.dumps(rebuilt)
-        store2.close()
+    def test_v1_store_compacted_past_its_base_refuses(self, tmp_path):
+        import shutil
+
+        from tests.service.test_legacy_store import (
+            FIXTURE,
+            TENANT,
+            _spec as legacy_spec,
+            compact_log_head,
+            rot_newest_snapshot,
+        )
+
+        # The fixture keeps version-1 images anchored at op 14 and 15.
+        # Its writer compacted the op log to the newest anchor; rot that
+        # image and the older one needs record 14, which is gone.
+        shutil.copytree(FIXTURE, tmp_path / "store")
+        tenant_dir = tmp_path / "store" / TENANT
+        compact_log_head(tenant_dir / "oplog", 15)
+        rot_newest_snapshot(tenant_dir)
+        with pytest.raises(RecoveryError, match=r"records \[14, 15\) are missing"):
+            TenantShard(
+                legacy_spec(), store=TenantStore(tenant_dir), resume=True
+            )
 
 
 class TestPowerLoss:

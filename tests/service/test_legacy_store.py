@@ -25,10 +25,34 @@ from repro.service import (
 )
 from repro.sim.job import Job
 from repro.sim.journal import SNAPSHOT_SCHEMA, EventJournal
+from repro.store.directory import OsDirectory
+from repro.store.log import SegmentedLog, read_log
 from repro.store.tenant import TenantStore
 
 FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / "schema2_store"
 TENANT = "legacy"
+
+
+def compact_log_head(oplog: Path, first_seq: int) -> None:
+    """Leave the log in ``oplog`` holding only its records from
+    ``first_seq`` on: what the compaction of an older release left of a
+    log whose segments held one record each."""
+    records = [payload for _seq, payload in read_log(OsDirectory(oplog))]
+    shutil.rmtree(oplog)
+    log = SegmentedLog(OsDirectory(oplog), segment_bytes=20)  # one per segment
+    for payload in records:
+        log.append(payload)
+    log.close()
+    for seq in range(first_seq):
+        (oplog / f"log-{seq:012d}.seg").unlink()
+
+
+def rot_newest_snapshot(tenant_dir: Path) -> None:
+    """Flip the last payload byte of the newest snapshot file."""
+    newest = sorted((tenant_dir / "snaps").glob("snap-*.bin"))[-1]
+    data = bytearray(newest.read_bytes())
+    data[-1] ^= 0xFF
+    newest.write_bytes(bytes(data))
 
 
 def _spec():

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.obs.correlate import correlate_request
 from repro.obs.telemetry import SloTracker, slo_parity_view
 from repro.service import (
     Advance,
@@ -153,8 +154,17 @@ class TestDurability:
         payload, _anchor = store.load_snapshot()
         store.close()
         assert payload["slo"]["counters"]["admitted"] == shard.stats()["accepted"]
-        assert "r0" in payload["rid_jids"]
-        shard.close()
+        # Request ids ride the op log, not the payload: a cold start
+        # rebuilds each one's outcome, and `repro obs trace` its jid.
+        rids = [f"r{i}" for i in range(10)] + ["f0", "c0"]
+        outcomes = {rid: shard.dedup_outcome(rid) for rid in rids}
+        assert None not in outcomes.values()
+        revived = _revive(tmp_path)
+        assert {rid: revived.dedup_outcome(rid) for rid in rids} == outcomes
+        for i in range(10):
+            found = correlate_request(f"r{i}", store_dir=tmp_path)
+            assert found["jid"] == i
+        revived.close()
 
     def test_kill9_cold_start_slo_parity(self, tmp_path):
         # Abandon a live shard without closing (in-process kill -9): the

@@ -1,4 +1,4 @@
-"""SegmentedLog: framing, rotation, torn tails, quarantine, compaction."""
+"""SegmentedLog: framing, rotation, torn tails, quarantine, compacted heads."""
 
 from __future__ import annotations
 
@@ -192,48 +192,20 @@ class TestCorruptQuarantine:
 
 
 class TestCompaction:
-    def test_compact_drops_whole_segments_only(self, tmp_path):
+    def test_compaction_survives_reopen(self, tmp_path):
+        # Older releases compacted a log by removing its head segments;
+        # a log left that way reopens at its first surviving record and
+        # appends after its last.
         d = OsDirectory(tmp_path)
         log = SegmentedLog(d, segment_bytes=64)
         payloads = _fill(log, 9)  # 3 per segment
-        removed = log.compact(4)  # seq 4 lives in the second segment
-        assert removed == 1
-        assert log.base_seq == 3
-        assert _records(log) == payloads[3:]
-        assert log.next_seq == 9
-
-    def test_compact_never_drops_last_segment(self, tmp_path):
-        d = OsDirectory(tmp_path)
-        log = SegmentedLog(d, segment_bytes=64)
-        _fill(log, 9)
-        log.compact(10_000)
-        assert len(log._segments) == 1  # noqa: SLF001 - structural pin
-        assert log.next_seq == 9
-
-    def test_compaction_survives_reopen(self, tmp_path):
-        d = OsDirectory(tmp_path)
-        log = SegmentedLog(d, segment_bytes=64)
-        payloads = _fill(log, 9)
-        log.compact(6)
         log.close()
+        for seg in sorted(tmp_path.glob("*.seg"))[:2]:
+            seg.unlink()
         reopened = SegmentedLog(d, segment_bytes=64)
         assert reopened.base_seq == 6
         assert _records(reopened) == payloads[6:]
-
-    def test_rebase_restarts_empty_log(self, tmp_path):
-        d = OsDirectory(tmp_path)
-        log = SegmentedLog(d)
-        log.rebase(100)
-        assert log.next_seq == 100
-        assert log.append(b"x") == 100
-        log.close()
-        assert SegmentedLog(d).entries() == [(100, b"x")]
-
-    def test_rebase_nonempty_rejected(self, tmp_path):
-        log = SegmentedLog(OsDirectory(tmp_path))
-        log.append(b"x")
-        with pytest.raises(StorageError, match="empty"):
-            log.rebase(5)
+        assert reopened.append(b"x") == 9
 
 
 class TestPowerLoss:
