@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import math
 import pickle
-from itertools import chain
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.capacity.base import CapacityFunction
@@ -1160,17 +1159,10 @@ class SchedulingKernel:
                 f"snapshot is for {snapshot.n_procs} processor(s), "
                 f"engine has {len(self._caps)}"
             )
-        # Schema 2 keys job state by jid; schema 3 by row (row i is the
-        # i-th job of this engine's instance).
-        legacy = snapshot.schema < 3
+        # Job state is keyed by row (row i is the i-th job of this
+        # engine's instance).
         rows = len(self._table)
-        if legacy:
-            for jid in chain(snapshot.remaining, snapshot.status):
-                if jid not in self._by_id:
-                    raise RecoveryError(
-                        f"snapshot references unknown job {jid}"
-                    )
-        elif snapshot.rows != rows or len(snapshot.remaining) != rows:
+        if snapshot.rows != rows or len(snapshot.remaining) != rows:
             raise RecoveryError(
                 f"snapshot covers {snapshot.rows} job(s), engine has {rows}"
             )
@@ -1189,13 +1181,9 @@ class SchedulingKernel:
         self._horizon = snapshot.horizon
         self._now = snapshot.now
 
-        # Ground truth: load the snapshot's columns (legacy images: its
-        # jid-keyed dicts) into the table's columns, in place — the
-        # kernel's aliases stay valid.
-        if legacy:
-            self._table.load_state_dicts(snapshot.remaining, snapshot.status)
-        else:
-            self._table.load_state_columns(snapshot.remaining, snapshot.status)
+        # Ground truth: load the snapshot's columns into the table's
+        # columns, in place — the kernel's aliases stay valid.
+        self._table.load_state_columns(snapshot.remaining, snapshot.status)
         self._current = [
             None if jid is None else self._by_id[jid]
             for jid in snapshot.current_jids

@@ -21,8 +21,7 @@ belong to a live daemon, so nothing is truncated, removed or created):
   written by a release that compacted the log, the frozen ``base``
   books (dedup map rid → outcome, rid → jid index, shed records) that
   stand in for the records compacted away then;
-* the **kernel journal** (``journal/``, or a legacy store's
-  ``wal.jsonl`` not yet imported) — every dispatched
+* the **kernel journal** (``journal/``) — every dispatched
   release/completion/deadline record for the decided jid (the journal
   stages), incarnation-spanning because the journal is extended, not
   rewritten, across cold starts.
@@ -156,19 +155,15 @@ def _scan_tenant_store(
 
 
 def _journal_stages(store, jid: int) -> List[Dict[str, Any]]:
-    """Dispatch records for a jid from the kernel journal: a legacy
-    ``wal.jsonl`` not yet imported, else the store's ``journal/``."""
-    from repro.sim.journal import EventJournal, JournalRecord
+    """Dispatch records for a jid from the store's kernel journal
+    (``journal/``)."""
+    from repro.sim.journal import JournalRecord
 
     try:
-        legacy = store.legacy_wal
-        if legacy is not None:
-            records = EventJournal.load(legacy).records
-        else:
-            records = [
-                JournalRecord(**json.loads(payload))
-                for payload in store.journal_payloads()
-            ]
+        records = [
+            JournalRecord(**json.loads(payload))
+            for payload in store.journal_payloads()
+        ]
     except Exception:  # noqa: BLE001 - a missing stage, not a crash
         return []
     key = f"jid:{jid}"

@@ -416,10 +416,6 @@ class TenantShard:
             # verifies its dispatches against these records, then
             # extends them.
             self._journal = EventJournal.open(store.journal_log)
-            legacy = store.legacy_wal
-            if legacy is not None:
-                self._journal.import_legacy(legacy)
-                store.drop_legacy_wal()
 
         self._built_faults = spec.build_start_faults()
         capacity = spec.build_capacity()
@@ -433,8 +429,9 @@ class TenantShard:
         self._accepted_jids: set = set()
         self._shed: List[ShedRecord] = []
         self._injected: List[Tuple[float, tuple]] = []
-        # Op log: (dispatch_count at application, kind, data).  Recovery
-        # re-applies every op at or past the restored snapshot's count.
+        # Re-apply list: (dispatch_count at application, kind, data) of
+        # the admits and pushes at or past the kernel's last periodic
+        # snapshot, the image recovery restores (_trim_ops).
         self._ops: List[Tuple[int, str, Any]] = []
         self._pending: List[Job] = []
         self._submitted = 0
@@ -956,22 +953,29 @@ class TenantShard:
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
+    def _trim_ops(self, base: int) -> None:
+        """Drop the re-apply ops logged before dispatch ``base``: the
+        snapshot cut there contains them."""
+        ops = self._ops
+        if ops and ops[0][0] < base:
+            first = next(
+                (i for i, (dc, _, _) in enumerate(ops) if dc >= base),
+                len(ops),
+            )
+            del ops[:first]
+
     def _restore_engine(self, snapshot: Optional[EngineSnapshot]) -> None:
         """Install a fresh engine restored from ``snapshot`` (a fresh
-        world when None), then re-apply, in order, the op records at or
-        past its dispatch count: the admissions and fault pushes the
-        image does not contain."""
+        world when None), then re-apply, in order, the op records (all
+        at or past its dispatch count): the admissions and fault pushes
+        the image does not contain."""
         if snapshot is None:
             engine = self._build_engine([])
             engine.start()
-            base = 0
         else:
             engine = self._build_engine(self._accepted[: snapshot.rows])
             engine.restore(snapshot)
-            base = snapshot.dispatch_count
-        for dc, kind, data in self._ops:
-            if dc < base:
-                continue
+        for _dc, kind, data in self._ops:
             if kind == "admit":
                 engine.admit_job(data)
             else:  # "push"
@@ -998,9 +1002,10 @@ class TenantShard:
                 f"tenant {self.tenant!r} crashed before the first "
                 "snapshot; nothing to restore from"
             ) from crash
+        base = snapshot.dispatch_count
+        self._trim_ops(base)
         self._restore_engine(snapshot)
         self._fold_recovery(cold=False)
-        base = snapshot.dispatch_count
         octx = _obs.current()
         if octx is not None:
             octx.emit(
@@ -1009,9 +1014,7 @@ class TenantShard:
                 {
                     "tenant": self.tenant,
                     "snapshot_dispatch": base,
-                    "ops_reapplied": sum(
-                        1 for dc, _, _ in self._ops if dc >= base
-                    ),
+                    "ops_reapplied": len(self._ops),
                 },
                 replay=False,
             )
@@ -1020,25 +1023,27 @@ class TenantShard:
     # Durable persistence (store-backed shards only)
     # ------------------------------------------------------------------
     def maybe_persist(self) -> None:
-        """Commit the kernel's newest periodic snapshot to the store.
+        """Trim the re-apply ops to the kernel's newest periodic snapshot
+        and commit that snapshot to the store.
 
-        Called after every handled message; a no-op until the kernel has
-        cut a snapshot newer than the last durable anchor, so persist
-        frequency tracks ``snapshot_every`` dispatches, not messages."""
-        if self._store is None or self._closed:
-            return
+        Called after every handled message; the commit is a no-op until
+        the kernel has cut a snapshot newer than the last durable anchor,
+        so persist frequency tracks ``snapshot_every`` dispatches, not
+        messages."""
         snap = self.kernel.last_snapshot
-        if snap is None or snap.dispatch_count <= self._persist_anchor:
+        if snap is None:
             return
         # A periodic image is cut at a dispatch boundary, before any op
         # logged at its dispatch count: those ops and every later one are
         # what it does not contain.
-        base = snap.dispatch_count
-        first = next(
-            (i for i, (dc, _, _) in enumerate(self._ops) if dc >= base),
-            len(self._ops),
-        )
-        self._persist(snap, len(self._ops) - first)
+        self._trim_ops(snap.dispatch_count)
+        if (
+            self._store is None
+            or self._closed
+            or snap.dispatch_count <= self._persist_anchor
+        ):
+            return
+        self._persist(snap, len(self._ops))
 
     def persist_now(self) -> None:
         """Drain path: decide the open group, cut a snapshot at the

@@ -27,9 +27,7 @@ State snapshots are column copies (:meth:`copy_state` /
 :meth:`load_state_columns`): two ``list.copy()`` calls, no per-row Python
 work.  They are the ``remaining``/``status`` fields of the schema-3
 :class:`~repro.sim.journal.EngineSnapshot`, row-ordered, with the row
-count standing in for the jid mapping.  :meth:`load_state_dicts` is the
-reader for legacy schema-2 images, whose jid-keyed dicts are mapped back
-onto rows.
+count standing in for the jid mapping.
 
 Admission (:meth:`append_job`) is O(1) amortized: the parameter columns
 live in capacity-doubling numpy buffers, exposed as length-``n`` views,
@@ -265,20 +263,6 @@ class JobTable:
         # In-place: the kernel holds direct references to these lists.
         self.remaining[:] = remaining
         self.status[:] = status
-
-    def load_state_dicts(
-        self, remaining: Dict[int, float], status: Dict[int, str]
-    ) -> None:
-        """Load a legacy schema-2 image (jid → remaining for released
-        jobs, jid → status *name* for every job) into the columns."""
-        # In-place: the kernel holds direct references to these lists.
-        self.remaining[:] = [0.0] * len(self.jobs)
-        self.status[:] = [_PENDING] * len(self.jobs)
-        row_of = self.row_of
-        for jid, name in status.items():
-            self.status[row_of[jid]] = STATUS_CODE[JobStatus[name]]
-        for jid, rem in remaining.items():
-            self.remaining[row_of[jid]] = rem
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"JobTable(n={len(self.jobs)})"

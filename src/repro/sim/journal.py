@@ -22,8 +22,7 @@ The recovery story (docs/ROBUSTNESS.md) has two cooperating artifacts:
   indicate non-determinism or a corrupted snapshot).  A durable journal
   mirrors each record into a checksummed segmented log
   (:meth:`EventJournal.open`; a tenant store's ``journal/``), whose open
-  truncates a torn tail.  :meth:`EventJournal.load` reads the legacy
-  JSONL journal files older stores hold.
+  truncates a torn tail.
 
 Determinism is what makes this work: the engine consults no wall clock and
 no RNG of its own, and capacity paths are materialised lazily in
@@ -39,7 +38,6 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from operator import attrgetter
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import RecoveryError
@@ -54,9 +52,6 @@ __all__ = [
     "describe_payload",
     "results_bit_identical",
 ]
-
-_JOURNAL_SCHEMA = 1
-
 
 def describe_payload(kind: int, payload: Any) -> str:
     """Canonical string key for an event's payload (journal comparisons).
@@ -106,16 +101,6 @@ class JournalRecord:
             "key": self.key,
             "version": self.version,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "JournalRecord":
-        return cls(
-            index=int(d["index"]),
-            time=float(d["time"]),
-            kind=int(d["kind"]),
-            key=str(d["key"]),
-            version=int(d.get("version", 0)),
-        )
 
 
 class EventJournal:
@@ -176,65 +161,8 @@ class EventJournal:
         journal._log = log
         return journal
 
-    def import_legacy(self, path: "str | Path") -> None:
-        """Append the records of a legacy JSONL journal (:meth:`load`)
-        that this journal does not hold yet.
 
-        The legacy file must extend this journal's records, so an import
-        interrupted by a crash simply continues on the next open."""
-        legacy = self.load(path).records
-        held = len(self._records)
-        if legacy[:held] != self.records:
-            raise RecoveryError(
-                f"journal {path}: its records do not extend the "
-                f"{held} already imported"
-            )
-        for record in legacy[held:]:
-            self.append(record)
-
-    @classmethod
-    def load(cls, path: "str | Path") -> "EventJournal":
-        """Rebuild an in-memory journal from a legacy JSONL file (a
-        header line, then one record per line).
-
-        A torn (undecodable) *final* line is the expected crash signature
-        and is dropped; a bad line anywhere else raises
-        :class:`~repro.errors.RecoveryError`.
-        """
-        path = Path(path)
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise RecoveryError(f"cannot read journal {path}: {exc}") from exc
-        if not lines:
-            raise RecoveryError(f"journal {path} is empty")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise RecoveryError(f"journal {path}: corrupt header") from exc
-        if header.get("kind") != "event_journal":
-            raise RecoveryError(f"journal {path}: not an event journal")
-        if header.get("schema") != _JOURNAL_SCHEMA:
-            raise RecoveryError(
-                f"journal {path}: unsupported schema {header.get('schema')!r}"
-            )
-        journal = cls()
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                record = JournalRecord.from_dict(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                if lineno == len(lines):
-                    break  # torn final line: the crash signature
-                raise RecoveryError(
-                    f"journal {path}: corrupt record at line {lineno}"
-                ) from exc
-            journal.append(record)
-        return journal
-
-
-#: Current :class:`EngineSnapshot` layout (2 = jid-keyed dicts, legacy).
+#: The :class:`EngineSnapshot` layout this release writes and reads.
 SNAPSHOT_SCHEMA = 3
 
 #: Signed array typecodes, narrowest first (packing jid columns).
@@ -311,11 +239,9 @@ class EngineSnapshot:
     columns, segments and outcomes into :mod:`array` bytes
     (``__getstate__``), which keeps durable images compact.
 
-    Legacy schema-2 pickles (jid-keyed ``remaining``/``status`` dicts of
-    status *names*, segment tuples, outcome names) still load: the reader
-    in ``__setstate__`` upgrades segments and outcomes, and
-    :meth:`~repro.kernel.core.SchedulingKernel.restore` maps the dicts
-    onto table rows (:meth:`~repro.sim.jobtable.JobTable.load_state_dicts`).
+    Unpickling an image of any other schema raises
+    :class:`~repro.errors.RecoveryError`: the schema-2 images (jid-keyed
+    dicts) of stores from before ``journal/`` are not read.
     """
 
     schema: int = SNAPSHOT_SCHEMA
@@ -330,10 +256,9 @@ class EngineSnapshot:
     seg_start: List[float] = field(default_factory=lambda: [0.0])
     seg_remaining0: List[float] = field(default_factory=lambda: [0.0])
     seg_cum0: List[float] = field(default_factory=lambda: [0.0])
-    #: row -> remaining work (schema 2: jid -> remaining, released jobs)
+    #: row -> remaining work
     remaining: List[float] = field(default_factory=list)
-    #: row -> status code, ``repro.sim.job.STATUS_CODE`` (schema 2:
-    #: jid -> JobStatus name)
+    #: row -> status code, ``repro.sim.job.STATUS_CODE``
     status: List[int] = field(default_factory=list)
     completion_version: Dict[int, int] = field(default_factory=dict)
     alarm_version: Dict[int, int] = field(default_factory=dict)
@@ -386,40 +311,34 @@ class EngineSnapshot:
             jids,
             bytes(map(_CODE_OF_VALUE.__getitem__, values)),
         )
-        if self.schema >= 3:
-            state["remaining"] = array("d", self.remaining).tobytes()
-            state["status"] = bytes(self.status)
+        state["remaining"] = array("d", self.remaining).tobytes()
+        state["status"] = bytes(self.status)
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        byteorder = state.pop("byteorder", None)
-        if byteorder is None:
-            # Legacy schema-2 pickle: plain field dict, names and tuples.
-            state["trace_segments"] = [
-                [RunSegment(*seg) for seg in segs]
-                for segs in state["trace_segments"]
-            ]
-            state["trace_outcomes"] = {
-                jid: JobStatus[name]
-                for jid, name in state["trace_outcomes"].items()
-            }
-        else:
-            state["trace_segments"] = [
-                _unpack_segments(packed, byteorder)
-                for packed in state["trace_segments"]
-            ]
-            code, jids, codes = state["trace_outcomes"]
-            state["trace_outcomes"] = dict(
-                zip(
-                    _unpack(code, jids, byteorder).tolist(),
-                    map(CODE_STATUS.__getitem__, codes),
-                )
+        schema = state.get("schema")
+        if schema != SNAPSHOT_SCHEMA:
+            raise RecoveryError(
+                f"kernel image schema {schema!r} is not the schema "
+                f"{SNAPSHOT_SCHEMA} this release reads (schema 2 is the "
+                "store layout from before journal/, with wal.jsonl); "
+                "upgrade the store by cold-starting it once and calling "
+                "persist_now with a release at or before commit 4d49910"
             )
-            if state["schema"] >= 3:
-                state["remaining"] = _unpack(
-                    "d", state["remaining"], byteorder
-                ).tolist()
-                state["status"] = list(state["status"])
+        byteorder = state.pop("byteorder")
+        state["trace_segments"] = [
+            _unpack_segments(packed, byteorder)
+            for packed in state["trace_segments"]
+        ]
+        code, jids, codes = state["trace_outcomes"]
+        state["trace_outcomes"] = dict(
+            zip(
+                _unpack(code, jids, byteorder).tolist(),
+                map(CODE_STATUS.__getitem__, codes),
+            )
+        )
+        state["remaining"] = _unpack("d", state["remaining"], byteorder).tolist()
+        state["status"] = list(state["status"])
         self.__dict__.update(state)
 
 

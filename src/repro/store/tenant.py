@@ -28,8 +28,8 @@ its newest snapshot, can lack records a snapshot needs; the shard then
 refuses to resume from it.
 
 Stores written before the journal moved into ``journal/`` hold it as a
-JSONL file, ``wal.jsonl`` (:data:`LEGACY_WAL_FILE`); the shard imports
-it on cold start and then removes it (:meth:`TenantStore.drop_legacy_wal`).
+JSONL file instead; both :class:`TenantStore` and
+:class:`TenantStoreReader` refuse such a directory before touching it.
 
 This module is deliberately spec-schema agnostic: the tenant spec, the
 op payloads and the journal payloads are opaque JSON documents;
@@ -43,9 +43,9 @@ import json
 import pickle
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import StorageError
+from repro.errors import RecoveryError, StorageError
 from repro.store.directory import Directory, OsDirectory
 from repro.store.log import SegmentedLog, read_log
 from repro.store.snapshots import SnapshotStore, read_snapshot
@@ -53,8 +53,6 @@ from repro.store.snapshots import SnapshotStore, read_snapshot
 __all__ = ["TenantStore", "TenantStoreReader", "read_spec"]
 
 SPEC_FILE = "spec.json"
-#: The kernel journal's file before it moved into ``journal/``.
-LEGACY_WAL_FILE = "wal.jsonl"
 
 
 def read_spec(directory: "Directory | str | Path") -> Optional[Dict[str, Any]]:
@@ -76,6 +74,19 @@ def read_spec(directory: "Directory | str | Path") -> Optional[Dict[str, Any]]:
             f"tenant's world ({exc})"
         ) from exc
     return spec_doc
+
+
+def _refuse_old_layout(exists: Callable[[str], bool], where: Any) -> None:
+    """Raise :class:`~repro.errors.RecoveryError` if the tenant directory
+    ``where`` (whose ``exists(name)`` is given) is a store from before
+    ``journal/``: it holds ``wal.jsonl``."""
+    if exists("wal.jsonl"):
+        raise RecoveryError(
+            f"tenant directory {where} holds wal.jsonl: it is a store "
+            "from before journal/, which this release does not read; "
+            "upgrade it by cold-starting it once and calling persist_now "
+            "with a release at or before commit 4d49910"
+        )
 
 
 def _op_docs(
@@ -101,6 +112,7 @@ class TenantStore:
         if not hasattr(directory, "subdir"):
             directory = OsDirectory(directory)  # type: ignore[arg-type]
         self._dir: Directory = directory  # type: ignore[assignment]
+        _refuse_old_layout(self._dir.exists, self._dir.path)
         self._fsync = bool(fsync)
         self.oplog = SegmentedLog(
             self._dir.subdir("oplog"),
@@ -125,22 +137,6 @@ class TenantStore:
     def fsync(self) -> bool:
         """Whether durability points reach stable storage."""
         return self._fsync
-
-    # -- legacy journal --------------------------------------------------
-    @property
-    def legacy_wal(self) -> Optional[Path]:
-        """The pre-``journal/`` JSONL journal, if this store holds one."""
-        if self.path is None or not self._dir.exists(LEGACY_WAL_FILE):
-            return None
-        return self.path / LEGACY_WAL_FILE
-
-    def drop_legacy_wal(self) -> None:
-        """Remove the legacy journal once its records are in ``journal/``
-        (synced first, so a crash before the removal re-runs the import
-        and a crash after it finds everything in ``journal/``)."""
-        self.journal_log.sync()
-        self._dir.remove(LEGACY_WAL_FILE)
-        self._dir.fsync_dir()
 
     # -- tenant spec -----------------------------------------------------
     def ensure_spec(self, spec_doc: Dict[str, Any], normalize=None) -> None:
@@ -237,9 +233,7 @@ class TenantStoreReader:
 
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
-        wal = self.path / LEGACY_WAL_FILE
-        #: The pre-``journal/`` JSONL journal, if this store holds one.
-        self.legacy_wal: Optional[Path] = wal if wal.exists() else None
+        _refuse_old_layout(lambda name: (self.path / name).exists(), path)
 
     def _log(self, name: str) -> List[Tuple[int, bytes]]:
         sub = self.path / name

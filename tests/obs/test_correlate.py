@@ -8,15 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ObservabilityError
+from repro.errors import ObservabilityError, RecoveryError
 from repro.obs.correlate import correlate_request, render_request_trace
 from repro.service import CapacitySpec, InjectFault, Submit, TenantShard, TenantSpec
 from repro.sim.job import Job
 from repro.store.tenant import TenantStore, TenantStoreReader
 
-LEGACY_STORE = (
-    Path(__file__).resolve().parents[1] / "fixtures" / "schema2_store"
-)
+LEGACY_STORE = Path(__file__).resolve().parents[1] / "fixtures" / "v1_store"
 
 
 def _spec(tenant="t0", **kw):
@@ -189,14 +187,15 @@ class TestReadOnly:
         assert _tree(tmp_path) == before
 
     def test_legacy_store_is_left_alone(self, tmp_path):
+        # A store from before journal/ (it holds wal.jsonl) is refused,
+        # and reading it still changes nothing.
         store = tmp_path / "store"
         shutil.copytree(LEGACY_STORE, store)
+        (store / "legacy" / "wal.jsonl").write_text("{}\n")
         before = _tree(store)
 
-        result = correlate_request("r3", store_dir=store)
-        assert result["found"] is True and result["jid"] == 3
-        # journal stages come from the store's un-imported wal.jsonl
-        assert any(s["stage"] == "journal" for s in result["stages"])
+        with pytest.raises(RecoveryError, match="wal.jsonl"):
+            correlate_request("r3", store_dir=store)
         assert _tree(store) == before
 
 

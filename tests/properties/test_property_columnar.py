@@ -47,9 +47,9 @@ _READY = STATUS_CODE[JobStatus.READY]
 _RUNNING = STATUS_CODE[JobStatus.RUNNING]
 
 
-def _legacy_remaining(table):
-    """The schema-2 ``EngineSnapshot.remaining`` image: jid -> remaining
-    for released jobs."""
+def _jid_remaining(table):
+    """The table's remaining work as a jid-keyed dict (released jobs),
+    the form the reference walk keeps."""
     return {
         job.jid: table.remaining[row]
         for row, job in enumerate(table.jobs)
@@ -57,8 +57,8 @@ def _legacy_remaining(table):
     }
 
 
-def _legacy_status(table):
-    """The schema-2 ``EngineSnapshot.status`` image: jid -> status name."""
+def _jid_status(table):
+    """The table's statuses as a jid-keyed dict of status names."""
     return {
         job.jid: CODE_STATUS[table.status[row]].name
         for row, job in enumerate(table.jobs)
@@ -135,8 +135,8 @@ class TestTableObjectParity:
                     table.remaining[row] = new_rem
             # terminal states stay terminal
 
-        assert _legacy_remaining(table) == ref_rem
-        assert _legacy_status(table) == {
+        assert _jid_remaining(table) == ref_rem
+        assert _jid_status(table) == {
             jid: s.name for jid, s in ref_st.items()
         }
         for job in jobs:
@@ -159,16 +159,8 @@ class TestTableObjectParity:
         clone.load_state_columns(rem_col, st_col)
         assert clone.remaining == table.remaining
         assert clone.status == table.status
-        # The legacy schema-2 dict image loads back exactly too.
-        clone2 = JobTable(jobs)
-        clone2.load_state_dicts(_legacy_remaining(table), _legacy_status(table))
-        assert clone2.status == table.status
-        for job in jobs:
-            row = table.row_of[job.jid]
-            if table.status[row] != _PENDING:
-                assert clone2.remaining[row] == table.remaining[row]
         # In-place contract: loading must not rebind the column objects.
-        table.load_state_dicts(_legacy_remaining(table), _legacy_status(table))
+        table.load_state_columns(rem_col, st_col)
         assert table.remaining is rem_alias and table.status is st_alias
 
     @given(instances(), st.integers(min_value=0, max_value=2**31 - 1))

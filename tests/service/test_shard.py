@@ -3,6 +3,7 @@ crash recovery via the op log, and the shed bookkeeping."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import MessageError, ServiceError, SimulatedCrash
@@ -266,3 +267,62 @@ class TestShedBookkeeping:
             rec.reason for rec in report.shed
         ]
         assert len(report.shed) == 2
+
+
+class TestBoundedOps:
+    """The re-apply list holds only the admits and pushes at or past the
+    kernel's last periodic snapshot (the image ``recover`` restores), so
+    it stays bounded however long the tenant lives."""
+
+    def _messages(self, n=600):
+        rng = np.random.default_rng(7)
+        messages, release = [], 0.0
+        for i in range(n):
+            release += float(rng.exponential(1.0 / 1.5))
+            work = float(rng.exponential(1.0))
+            job = Job(i, release, work, release + 3.0 * work, 1.0 + work)
+            messages.append(Submit("t0", job, rid=f"s{i}"))
+            if i % 16 == 15:
+                messages.append(Advance("t0", release))
+            if i % 100 == 50:
+                messages.append(InjectFault("t0", "kill", release + 0.1))
+        return messages, release
+
+    def test_long_stream_keeps_only_the_tail(self, monkeypatch):
+        messages, last = self._messages()
+        spec = _spec(horizon=last + 20.0, scheduler="edf", queue_budget=6)
+        shard = TenantShard(spec)
+        # The twin never trims: its list is the whole history.
+        twin = TenantShard(spec)
+        monkeypatch.setattr(twin, "_trim_ops", lambda base: None)
+        longest = 0
+        for message in messages:
+            shard.handle(message)
+            twin.handle(message)
+            base = shard.kernel.last_snapshot.dispatch_count
+            assert shard._ops == [op for op in twin._ops if op[0] >= base]
+            longest = max(longest, len(shard._ops))
+        assert len(twin._ops) > 500 and longest < 40
+
+    def test_crash_after_trimming_recovers_with_parity(self):
+        messages, last = self._messages()
+        spec = _spec(horizon=last + 20.0, scheduler="edf", queue_budget=6)
+        shard = TenantShard(spec)
+        crash_at = len(messages) // 2
+        for message in messages[:crash_at]:
+            shard.handle(message)
+        assert shard._ops[0][0] >= shard.kernel.last_snapshot.dispatch_count
+        # Crash at the stream's frontier: later submits are not behind it.
+        frontier = max(
+            m.job.release for m in messages[:crash_at] if isinstance(m, Submit)
+        )
+        with pytest.raises(SimulatedCrash) as crash:
+            shard.handle(InjectFault("t0", "crash", frontier))
+        shard.recover(crash.value)
+        for message in messages[crash_at:]:
+            shard.handle(message)
+        report = shard.close()
+        assert report.recoveries == 1
+        check = replay_tenant(report)
+        assert check.ok, check.failures
+        assert report.lost_jids == ()

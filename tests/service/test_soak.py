@@ -181,8 +181,9 @@ class TestKill9Smoke:
     Runs as its own CI step (``-m kill_soak_smoke``); the store
     directory lands under ``test-results/kill9/`` so a failure ships
     the journal, op log and snapshots as artifacts.  Each run starts from an
-    empty store (cold start from stores written by older versions is
-    covered deterministically by ``test_legacy_store.py``)."""
+    empty store: ``test_legacy_store.py`` covers, deterministically, the
+    one older store layout still read (``tests/fixtures/v1_store``) and
+    the refusal of the layout before it (``wal.jsonl``)."""
 
     def test_kill9_soak_passes(self):
         from repro.experiments.soak import Kill9Config, run_kill9

@@ -10,7 +10,7 @@ from repro.errors import RecoveryError
 from repro.sim import EventJournal, Job, JournalRecord
 from repro.sim.events import EventKind
 from repro.sim.journal import describe_payload
-from repro.store.directory import MemoryDirectory
+from repro.store.directory import MemoryDirectory, OsDirectory
 from repro.store.log import SegmentedLog
 
 
@@ -18,14 +18,6 @@ def _record(i: int, **kw) -> JournalRecord:
     base = dict(index=i, time=float(i), kind=2, key=f"jid:{i}", version=0)
     base.update(kw)
     return JournalRecord(**base)
-
-
-def _write_legacy(path, n: int):
-    """A legacy JSONL journal file holding records ``0..n-1``."""
-    lines = [json.dumps({"kind": "event_journal", "schema": 1})]
-    lines += [json.dumps(_record(i).to_dict()) for i in range(n)]
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 class TestDescribePayload:
@@ -50,13 +42,10 @@ class TestDescribePayload:
 
 class TestJournalRecord:
     def test_dict_roundtrip(self):
+        # The durable log holds ``to_dict`` as JSON; open reads it back
+        # as keyword arguments.
         rec = _record(4, key="alarm:1:claxity", version=3)
-        assert JournalRecord.from_dict(rec.to_dict()) == rec
-
-    def test_version_defaults(self):
-        d = _record(0).to_dict()
-        del d["version"]
-        assert JournalRecord.from_dict(d).version == 0
+        assert JournalRecord(**json.loads(json.dumps(rec.to_dict()))) == rec
 
 
 class TestEventJournal:
@@ -75,45 +64,23 @@ class TestEventJournal:
             journal.append(_record(2))
 
     def test_file_roundtrip(self, tmp_path):
-        path = _write_legacy(tmp_path / "run.journal", 4)
-        loaded = EventJournal.load(path)
+        journal = EventJournal.open(SegmentedLog(OsDirectory(tmp_path)))
+        for i in range(4):
+            journal.append(_record(i))
+        journal.flush()
+        loaded = EventJournal.open(SegmentedLog(OsDirectory(tmp_path)))
         assert loaded.records == tuple(_record(i) for i in range(4))
 
     def test_torn_final_line_tolerated(self, tmp_path):
-        path = _write_legacy(tmp_path / "run.journal", 4)
-        # Simulate a crash mid-append: truncate the last line.
-        text = path.read_text()
-        path.write_text(text[: text.rindex('{"index": 3') + 10])
-        loaded = EventJournal.load(path)
-        assert len(loaded) == 3
-
-    def test_corrupt_middle_line_raises(self, tmp_path):
-        path = _write_legacy(tmp_path / "run.journal", 4)
-        lines = path.read_text().splitlines()
-        lines[2] = '{"index": 1, "time": BROKEN'
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(RecoveryError, match="corrupt record at line 3"):
-            EventJournal.load(path)
-
-    def test_load_rejects_non_journal(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"kind": "something_else"}) + "\n")
-        with pytest.raises(RecoveryError, match="not an event journal"):
-            EventJournal.load(path)
-
-    def test_load_rejects_bad_schema(self, tmp_path):
-        path = tmp_path / "future.journal"
-        path.write_text(
-            json.dumps({"kind": "event_journal", "schema": 999}) + "\n"
-        )
-        with pytest.raises(RecoveryError, match="unsupported schema"):
-            EventJournal.load(path)
-
-    def test_load_rejects_empty(self, tmp_path):
-        path = tmp_path / "empty.journal"
-        path.write_text("")
-        with pytest.raises(RecoveryError, match="empty"):
-            EventJournal.load(path)
+        journal = EventJournal.open(SegmentedLog(OsDirectory(tmp_path)))
+        for i in range(4):
+            journal.append(_record(i))
+        # Simulate a crash mid-append: cut the last record short.
+        segment = next(tmp_path.glob("log-*.seg"))
+        data = segment.read_bytes()
+        segment.write_bytes(data[:-10])
+        loaded = EventJournal.open(SegmentedLog(OsDirectory(tmp_path)))
+        assert loaded.records == tuple(_record(i) for i in range(3))
 
 
 class TestFlushBatching:
@@ -180,9 +147,7 @@ class TestDirFsync:
 
 
 class TestResume:
-    """Reopening a log-backed journal (:meth:`EventJournal.open`) and
-    importing a legacy JSONL journal into it
-    (:meth:`EventJournal.import_legacy`)."""
+    """Reopening a log-backed journal (:meth:`EventJournal.open`)."""
 
     def test_clean_resume_appends_in_place(self):
         mem = MemoryDirectory()
@@ -196,56 +161,14 @@ class TestResume:
         assert [r.index for r in reopened.records] == [0, 1, 2, 3]
 
     def test_torn_final_line_truncated_then_extended(self, tmp_path):
-        path = _write_legacy(tmp_path / "wal.jsonl", 3)
-        with path.open("ab") as fh:
-            fh.write(b'{"index": 3, "time":')  # torn mid-append
-        mem = MemoryDirectory()
-        journal = EventJournal.open(SegmentedLog(mem))
-        journal.import_legacy(path)
-        assert len(journal) == 3  # the three complete records
-        journal.append(_record(3))
-        reopened = EventJournal.open(SegmentedLog(mem))
-        assert [r.index for r in reopened.records] == [0, 1, 2, 3]
-
-    def test_interrupted_import_continues(self, tmp_path):
-        path = _write_legacy(tmp_path / "wal.jsonl", 5)
-        mem = MemoryDirectory()
-        partial = EventJournal.open(SegmentedLog(mem))
-        for i in range(2):  # a crash cut the first import short
-            partial.append(_record(i))
-        journal = EventJournal.open(SegmentedLog(mem))
-        journal.import_legacy(path)
-        assert journal.records == tuple(_record(i) for i in range(5))
-        journal.import_legacy(path)  # a completed import is a no-op
-        assert len(EventJournal.open(SegmentedLog(mem))) == 5
-
-    def test_import_refuses_a_diverging_journal(self, tmp_path):
-        path = _write_legacy(tmp_path / "wal.jsonl", 3)
-        journal = EventJournal()
-        journal.append(_record(0, key="jid:99"))
-        with pytest.raises(RecoveryError, match="do not extend"):
-            journal.import_legacy(path)
-
-    def test_mid_file_corruption_refuses(self, tmp_path):
-        path = _write_legacy(tmp_path / "wal.jsonl", 3)
-        lines = path.read_text().splitlines()
-        lines[2] = '{"index": 1, BROKEN'
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(RecoveryError, match="corrupt record"):
-            EventJournal().import_legacy(path)
-
-    def test_corrupt_header_refuses(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        path.write_text("{broken\n")
-        with pytest.raises(RecoveryError, match="header"):
-            EventJournal().import_legacy(path)
-
-    def test_foreign_file_refuses(self, tmp_path):
-        path = tmp_path / "other.jsonl"
-        path.write_text(json.dumps({"kind": "mc_checkpoint", "schema": 1}) + "\n")
-        with pytest.raises(RecoveryError, match="not an event journal"):
-            EventJournal().import_legacy(path)
-
-    def test_missing_file_refuses(self, tmp_path):
-        with pytest.raises(RecoveryError, match="cannot read"):
-            EventJournal().import_legacy(tmp_path / "absent.jsonl")
+        journal = EventJournal.open(SegmentedLog(OsDirectory(tmp_path)))
+        for i in range(3):
+            journal.append(_record(i))
+        segment = next(tmp_path.glob("log-*.seg"))
+        with segment.open("ab") as fh:
+            fh.write(b"\x40\x00\x00\x00{")  # torn mid-append
+        reopened = EventJournal.open(SegmentedLog(OsDirectory(tmp_path)))
+        assert len(reopened) == 3  # the three complete records
+        reopened.append(_record(3))
+        again = EventJournal.open(SegmentedLog(OsDirectory(tmp_path)))
+        assert [r.index for r in again.records] == [0, 1, 2, 3]

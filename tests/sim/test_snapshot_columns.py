@@ -9,7 +9,7 @@ Deterministic counters, no wall clock:
   (no ``JobStatus.name`` lookups, one column copy, Job attribute reads
   bounded by the event queue);
 * the packed schema-3 pickle is no larger than the schema-2 pickle of
-  the same state, and a schema-2 pickle still restores bit-identically.
+  the same state, and unpickling a schema-2 image is refused.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _schema2_state(snapshot: EngineSnapshot, jids):
 def _schema2_pickle(snapshot, jids, monkeypatch):
     """Pickle bytes exactly as the schema-2 writer produced them: the
     dataclass ``__dict__`` (no packing ``__getstate__``) under
-    EngineSnapshot, so loading them runs the schema-2 reader."""
+    EngineSnapshot."""
     legacy = EngineSnapshot.__new__(EngineSnapshot)
     legacy.__dict__.update(_schema2_state(snapshot, jids))
     with monkeypatch.context() as patch:
@@ -244,23 +244,15 @@ class TestPickledForm:
         fresh.restore(snapshot)
         assert results_bit_identical(reference, fresh.run())
 
-    def test_schema2_pickle_still_restores(self, monkeypatch):
+    def test_schema2_pickle_is_refused(self, monkeypatch):
         jobs = _jobs(600)
-        engine, capacity = _crashed_engine(jobs, EDFScheduler, at_event=500)
-        snapshot = engine.snapshot()
+        engine, _ = _crashed_engine(jobs, EDFScheduler, at_event=500)
         jids = engine.table.jid.tolist()
-        legacy = pickle.loads(_schema2_pickle(snapshot, jids, monkeypatch))
-        assert legacy.schema == 2 and isinstance(legacy.status, dict)
-        assert legacy.rows == snapshot.rows
-        assert legacy.trace_segments == snapshot.trace_segments
-        assert legacy.trace_outcomes == snapshot.trace_outcomes
-        reference = simulate(jobs, capacity, EDFScheduler(), faults=_kills())
-        for image in (legacy, legacy.roundtrip()):
-            fresh = SimulationEngine(
-                jobs, capacity, EDFScheduler(), faults=_kills()
-            )
-            fresh.restore(image)
-            assert results_bit_identical(reference, fresh.run())
+        blob = _schema2_pickle(engine.snapshot(), jids, monkeypatch)
+        with pytest.raises(RecoveryError, match="schema 2") as info:
+            pickle.loads(blob)
+        assert "before journal/" in str(info.value)
+        assert "persist_now" in str(info.value)
 
     def test_restore_rejects_row_count_mismatch(self):
         jobs = _jobs(300)

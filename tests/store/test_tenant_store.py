@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import RecoveryError, StorageError
 from repro.store.directory import MemoryDirectory
 from repro.store.tenant import SPEC_FILE, TenantStore
 
@@ -49,8 +49,16 @@ class TestSpec:
         assert sorted(p.name for p in (tmp_path / "t0").iterdir()) == [
             "journal", "oplog", "snaps", SPEC_FILE,
         ]
-        assert store.legacy_wal is None
         assert TenantStore(MemoryDirectory()).path is None
+
+    def test_pre_journal_layout_refused_untouched(self):
+        mem = MemoryDirectory()
+        h = mem.create("wal.jsonl")
+        h.write(b"{}\n")
+        h.close()
+        with pytest.raises(RecoveryError, match="wal.jsonl"):
+            TenantStore(mem)
+        assert mem.listdir() == ["wal.jsonl"] and not mem._children
 
 
 class TestOpsAndSnapshots:
